@@ -7,8 +7,8 @@ Subcommands:
   hadamard    render a sign matrix and, for order 8, its permutation counts
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 at least one suite failed, 2 bad flags or malformed input.  The
-default seed comes from OCTOTRIPLE_SEED when set.
+1 at least one suite failed or a decomposition is not finite, 2 bad flags
+or malformed input.  The default seed comes from OCTOTRIPLE_SEED when set.
 """
 
 from __future__ import annotations
@@ -173,7 +173,12 @@ def _cmd_decompose(args, parser) -> int:
             "assoc": associator3_norm_sq(u1, u, u2),
         },
     }
-    print(json.dumps(out, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(out, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        print("octotriple: the decomposition overflows double precision", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

@@ -7,8 +7,9 @@ Cayley-Dickson rule
     (a, b)(c, d) = (a*c - conj(d)*b,  d*a + b*conj(c))
 
 applied recursively from the reals.  Under this convention the quaternion
-block satisfies i1*i2 == i3, i2*i1 == -i3; the full 8x8 sign table is
-generated once per dimension and used for all products.
+block satisfies i1*i2 == i3, i2*i1 == -i3.  Since i_i * i_j = +-i_{i xor j},
+every product is one XOR-indexed kernel, (a*b)[k] = sum_i s[i, k] a[i] b[i xor k],
+with the index and sign tables built once per dimension.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.rel > 0:
-            raise ValueError(f"rel tolerance must be positive, got {self.rel!r}")
-        if self.abs < 0:
-            raise ValueError(f"abs tolerance must be non-negative, got {self.abs!r}")
+        if not (math.isfinite(self.rel) and self.rel > 0):
+            raise ValueError(f"rel tolerance must be positive and finite, got {self.rel!r}")
+        if not (math.isfinite(self.abs) and self.abs >= 0):
+            raise ValueError(f"abs tolerance must be non-negative and finite, got {self.abs!r}")
 
     def bound(self, scale: float = 1.0) -> float:
         return self.abs + self.rel * scale
@@ -214,14 +215,14 @@ def _basis_sign(dim: int, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _structure_tensor(dim: int) -> np.ndarray:
-    """Dense tensor T with (a*b)[k] = sum_ij T[i,j,k] a[i] b[j]."""
-    t = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            t[i, j, i ^ j] = _basis_sign(dim, i, j)
-    t.flags.writeable = False
-    return t
+def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index table i ^ k and sign table s[i, k] of i_i * i_{i^k} = s[i, k] * i_k."""
+    idx = np.arange(dim)
+    xor = idx[:, None] ^ idx[None, :]
+    sign = np.array([[_basis_sign(dim, i, j) for j in row] for i, row in enumerate(xor)],
+                    dtype=np.float64)
+    xor.flags.writeable = sign.flags.writeable = False
+    return xor, sign
 
 
 # -- operations --------------------------------------------------------------
@@ -233,10 +234,11 @@ def unit(dim: int) -> Hyper:
 
 
 def multiply(a: Hyper, b: Hyper) -> Hyper:
-    """Bilinear product under the pinned doubling rule."""
+    """Bilinear product under the pinned doubling rule: one gather of b by the
+    XOR table, one product with the sign table, one vector-matrix product."""
     _check_same_dim(a, b)
-    out = np.einsum("ijk,i,j->k", _structure_tensor(a.dim), a.coeffs, b.coeffs)
-    return Hyper._wrap(a.dim, out)
+    xor, sign = _product_tables(a.dim)
+    return Hyper._wrap(a.dim, a.coeffs @ (sign * b.coeffs[xor]))
 
 
 def conjugate(u: Hyper) -> Hyper:

@@ -105,6 +105,27 @@ def build(n: int) -> SignMatrix:
     return SignMatrix(n, 1 - 2 * parity)
 
 
+def transform(values: np.ndarray) -> np.ndarray:
+    """Sylvester transform along axis 0: build(n).entries @ values, n in {2, 4, 8}.
+
+    Fast Walsh-Hadamard butterfly: each of the log2(n) stages sums and
+    differences the two halves of axis 0 and interleaves the results, so
+    every index bit is transformed once.  Unlike a dense matmul, a row whose
+    inputs cancel in pairs comes out exactly zero.
+    """
+    x = np.asarray(values)
+    n = x.shape[0]
+    if n not in VALID_ORDERS:
+        raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
+    h = n // 2
+    rows = x.reshape(n, -1)
+    for _ in range(h.bit_length()):
+        a, b = rows[:h], rows[h:]
+        # side by side, then split: row 2i is a[i] + b[i], row 2i + 1 is a[i] - b[i]
+        rows = np.concatenate((a + b, a - b), axis=1).reshape(n, -1)
+    return rows.reshape(x.shape)
+
+
 def row_group_check(m: SignMatrix) -> bool:
     """True iff the rows, under termwise multiplication, form a group with
     the all-ones row as identity."""

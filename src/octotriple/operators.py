@@ -13,11 +13,14 @@ has a closed form of the shape (x c) y or x (c y) with optionally
 conjugated factors.  The closed forms are not hard-coded per word: they
 are derived mechanically by applying the generator rewrites to the base
 form, in every generator order, and the derivation fails loudly if any
-two orders disagree.  Averaging the eight transformed operators with
-sign patterns (eps_+, eps_*, eps_v) in {-1,+1}^3 yields components that
-scale by the corresponding eps under each involution; the two-operation
-averages over {+, *} reproduce the triple anticommutator, commutator and
-associator.
+two orders disagree.  With word w numbered by its bits (+ = 1, * = 2,
+v = 4), the components are the rows of one Sylvester transform of the
+word values, scaled by 1/8: row g averages the eight transformed
+operators with the sign pattern ALL_SIGN_TRIPLES[g] and scales by the
+corresponding eps under each involution.  Composing every word with a
+generator permutes the word values by w -> w xor bit.  The transform of
+the four two-op values over {+, *}, scaled by 1/4, reproduces the triple
+anticommutator, associator and commutator.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DimensionError, Hyper, conjugate, inner, multiply, norm
+from .core import DimensionError, Hyper, conjugate, inner, multiply
+from .hadamard import transform
 
 
 @dataclass(frozen=True)
@@ -218,16 +222,18 @@ def materialize(op: TripleOperator, word: OpWord = IDENTITY_WORD) -> np.ndarray:
 
 # -- symmetric / skew-symmetric components -----------------------------------
 
+_WORD_INDEX = np.arange(len(ALL_WORDS))
+_EPS = np.array([(s.eps_plus, s.eps_star, s.eps_vee) for s in ALL_SIGN_TRIPLES])
 
-def _word_sign(word: OpWord, eps_plus: int, eps_star: int, eps_vee: int = 1) -> int:
-    s = 1
-    if word.plus:
-        s *= eps_plus
-    if word.star:
-        s *= eps_star
-    if word.vee:
-        s *= eps_vee
-    return s
+
+def _word_values(op: TripleOperator, u: Hyper, words=ALL_WORDS) -> np.ndarray:
+    """A^w u for each word, one row per word in the given order."""
+    return np.array([apply(op, w, u).coeffs for w in words])
+
+
+def _components(values: np.ndarray) -> np.ndarray:
+    """Every component from the word values, row g for ALL_SIGN_TRIPLES[g]."""
+    return transform(values / len(values))
 
 
 def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hyper:
@@ -236,29 +242,23 @@ def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hy
     (+1,+1) is the triple anticommutator, (-1,-1) the triple commutator,
     (-1,+1) the associator and (+1,-1) vanishes identically.
     """
-    if eps_plus not in (-1, 1) or eps_star not in (-1, 1):
-        raise ValueError("eigenvalue signs must be +1 or -1")
-    acc = Hyper.zero(op.dim)
-    for word in TWO_OP_WORDS:
-        acc = acc + _word_sign(word, eps_plus, eps_star) * apply(op, word, u)
-    return acc / 4
+    row = ALL_SIGN_TRIPLES.index(SignTriple(eps_plus, eps_star, 1))
+    return Hyper._wrap(op.dim, _components(_word_values(op, u, TWO_OP_WORDS))[row])
 
 
 def component3(op: TripleOperator, signs: SignTriple, u: Hyper) -> Hyper:
     """Average over all eight words with signs eps_+^a eps_*^b eps_v^c."""
-    acc = Hyper.zero(op.dim)
-    for word in ALL_WORDS:
-        acc = acc + _word_sign(word, signs.eps_plus, signs.eps_star, signs.eps_vee) * apply(op, word, u)
-    return acc / 8
+    return Hyper._wrap(op.dim, _components(_word_values(op, u))[ALL_SIGN_TRIPLES.index(signs)])
 
 
-def _transformed_component3(op: TripleOperator, signs: SignTriple,
-                            gen: OpWord, u: Hyper) -> Hyper:
-    # Transform of the component operator: each term's word composes with gen.
-    acc = Hyper.zero(op.dim)
-    for word in ALL_WORDS:
-        acc = acc + _word_sign(word, signs.eps_plus, signs.eps_star, signs.eps_vee) * apply(op, word.compose(gen), u)
-    return acc / 8
+def _eigen_residuals(values_u: np.ndarray, values_v: np.ndarray,
+                     u: Hyper, v: Hyper) -> np.ndarray:
+    """(8, 3) array: the residuals of component3_eigen_residuals for every sign triple."""
+    b_u, b_v = _components(values_u), _components(values_v)
+    r_plus = np.abs(b_u @ v.coeffs - _EPS[:, 0] * (b_v @ u.coeffs))
+    r_star = np.linalg.norm(_components(values_u[_WORD_INDEX ^ 2]) - _EPS[:, 1:2] * b_u, axis=1)
+    r_vee = np.linalg.norm(_components(values_u[_WORD_INDEX ^ 4]) - _EPS[:, 2:3] * b_u, axis=1)
+    return np.stack((r_plus, r_star, r_vee), axis=1)
 
 
 def component3_eigen_residuals(op: TripleOperator, signs: SignTriple,
@@ -274,10 +274,5 @@ def component3_eigen_residuals(op: TripleOperator, signs: SignTriple,
     exercises the Hermitian-conjugation content; * and v are definitional
     rewrites applied to every term.
     """
-    base = component3(op, signs, u)
-    r_plus = abs(inner(base, v) - signs.eps_plus * inner(u, component3(op, signs, v)))
-    star = _transformed_component3(op, signs, OpWord(star=True), u)
-    r_star = norm(star - signs.eps_star * base)
-    vee = _transformed_component3(op, signs, OpWord(vee=True), u)
-    r_vee = norm(vee - signs.eps_vee * base)
-    return r_plus, r_star, r_vee
+    res = _eigen_residuals(_word_values(op, u), _word_values(op, v), u, v)
+    return tuple(float(r) for r in res[ALL_SIGN_TRIPLES.index(signs)])

@@ -9,11 +9,14 @@ The product (u1 * conj(u)) * u2 splits into three mutually orthogonal parts:
     associator     <u1, u, u2>   the bracketing-sensitive part, zero in
                                  associative algebras (dim <= 4).
 
-Each part is defined by a half-sum of two of the four bracket/order
-variants of the product; the two alternative half-sums per part agree,
-which is itself a verified identity (see the `_alt` companions).  Closed
-forms express the anticommutator as a linear combination of the arguments
-and the commutator via pair cross products.
+The four bracket/order variants (u1 ub) u2, (u2 ub) u1, u2 (ub u1) and
+u1 (ub u2), ub = conj(u), are the two-op word values of the operator in
+`operators`; their Sylvester transform, scaled by 1/4, holds anti, assoc,
+0 and comm in rows 0..3.  Each part is also its row of the order-4
+Sylvester matrix on one pair of these columns, halved; the complementary
+pair (the `_alt` form) agrees, which is itself a verified identity.
+Closed forms express the anticommutator as a linear combination of the
+arguments and the commutator via pair cross products.
 """
 
 from __future__ import annotations
@@ -25,21 +28,20 @@ import numpy as np
 
 from .core import (
     Hyper,
-    _check_same_dim,
     conjugate,
     inner,
     multiply,
-    norm,
     norm_sq,
     imaginary_part,
     scalar_part,
     unit,
 )
+from .hadamard import build
+from .operators import TWO_OP_WORDS, TripleOperator, _components, _word_values
 
 
 def cross2(u1: Hyper, u2: Hyper) -> Hyper:
     """Pair cross product: half the commutator (u1 u2 - u2 u1) / 2."""
-    _check_same_dim(u1, u2)
     return (multiply(u1, u2) - multiply(u2, u1)) / 2
 
 
@@ -49,7 +51,6 @@ def pair_product_expansion(u1: Hyper, u2: Hyper) -> Hyper:
     Returns (u1,i0) u2 + (u2,i0) u1 - (u1,u2) i0 + [u1,u2]; always equal to
     multiply(u1, u2).
     """
-    _check_same_dim(u1, u2)
     out = scalar_part(u1) * u2 + scalar_part(u2) * u1
     out = out - inner(u1, u2) * unit(u1.dim)
     return out + cross2(u1, u2)
@@ -57,60 +58,49 @@ def pair_product_expansion(u1: Hyper, u2: Hyper) -> Hyper:
 
 # -- the three parts ---------------------------------------------------------
 
+_H4 = build(4).entries
+
+
+def _half_sum(u1: Hyper, u: Hyper, u2: Hyper, row: int, cols: tuple[int, int]) -> Hyper:
+    """Row `row` of the order-4 Sylvester matrix on two word columns, halved;
+    evaluates only the two word values it selects."""
+    values = _word_values(TripleOperator(u1, u2), u, [TWO_OP_WORDS[c] for c in cols])
+    return Hyper._wrap(u1.dim, _H4[row, list(cols)] @ values / 2)
+
 
 def anticommutator3(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """{u1, u, u2} = ((u1 ub) u2 + (u2 ub) u1) / 2, ub = conj(u)."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    return (multiply(multiply(u1, ub), u2) + multiply(multiply(u2, ub), u1)) / 2
+    return _half_sum(u1, u, u2, 0, (0, 1))
 
 
 def anticommutator3_alt(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """Second half-sum form: (u1 (ub u2) + u2 (ub u1)) / 2."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    return (multiply(u1, multiply(ub, u2)) + multiply(u2, multiply(ub, u1))) / 2
+    return _half_sum(u1, u, u2, 0, (2, 3))
 
 
 def anticommutator3_closed(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """Closed form: (u1,u) u2 - (u1,u2) u + (u,u2) u1."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
     return inner(u1, u) * u2 - inner(u1, u2) * u + inner(u, u2) * u1
 
 
 def associator3(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """<u1, u, u2> = ((u1 ub) u2 - u1 (ub u2)) / 2; zero for dim <= 4."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    return (multiply(multiply(u1, ub), u2) - multiply(u1, multiply(ub, u2))) / 2
+    return _half_sum(u1, u, u2, 1, (0, 3))
 
 
 def associator3_alt(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """Second half-sum form: (u2 (ub u1) - (u2 ub) u1) / 2."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    return (multiply(u2, multiply(ub, u1)) - multiply(multiply(u2, ub), u1)) / 2
+    return _half_sum(u1, u, u2, 1, (1, 2))
 
 
 def commutator3(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """[u1, u, u2] = ((u1 ub) u2 - u2 (ub u1)) / 2, the triple cross product."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    return (multiply(multiply(u1, ub), u2) - multiply(u2, multiply(ub, u1))) / 2
+    return _half_sum(u1, u, u2, 3, (0, 2))
 
 
 def commutator3_alt(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     """Second half-difference form: (u1 (ub u2) - (u2 ub) u1) / 2."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    return (multiply(u1, multiply(ub, u2)) - multiply(multiply(u2, ub), u1)) / 2
+    return _half_sum(u1, u, u2, 3, (1, 3))
 
 
 def commutator3_closed(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
@@ -118,8 +108,6 @@ def commutator3_closed(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
 
     ([u1,u], u2) i0 - (u1,i0)[u,u2] + (u,i0)[u1,u2] - (u2,i0)[u1,u]
     """
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
     c_u1_u = cross2(u1, u)
     out = inner(c_u1_u, u2) * unit(u1.dim)
     out = out - scalar_part(u1) * cross2(u, u2)
@@ -153,17 +141,11 @@ class TripleDecomposition:
 
 def decompose_triple(u1: Hyper, u: Hyper, u2: Hyper) -> TripleDecomposition:
     """Split (u1 conj(u)) u2 into anticommutator + commutator + associator."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
-    ub = conjugate(u)
-    p_left = multiply(multiply(u1, ub), u2)      # (u1 ub) u2
-    p_swap = multiply(multiply(u2, ub), u1)      # (u2 ub) u1
-    p_right = multiply(u1, multiply(ub, u2))     # u1 (ub u2)
-    anti = (p_left + p_swap) / 2
-    assoc = (p_left - p_right) / 2
-    comm = p_left - anti - assoc
-    residual = norm(p_left - (anti + comm + assoc))
-    return TripleDecomposition(anti=anti, comm=comm, assoc=assoc, residual=residual)
+    values = _word_values(TripleOperator(u1, u2), u, TWO_OP_WORDS)
+    anti, assoc, _, comm = _components(values)
+    residual = float(np.linalg.norm(values[0] - (anti + comm + assoc)))
+    return TripleDecomposition(anti=Hyper._wrap(u1.dim, anti), comm=Hyper._wrap(u1.dim, comm),
+                               assoc=Hyper._wrap(u1.dim, assoc), residual=residual)
 
 
 # -- Gram matrices and length formulas --------------------------------------
@@ -198,8 +180,6 @@ class GramMatrix:
 
 def gram(u1: Hyper, u: Hyper, u2: Hyper) -> GramMatrix:
     """Gram matrix of the arguments in the order (u1, u, u2)."""
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
     v = (u1, u, u2)
     return GramMatrix(np.array([[inner(a, b) for b in v] for a in v]))
 
@@ -237,8 +217,6 @@ def gram_det_imaginary_identity(u1: Hyper, u: Hyper, u2: Hyper) -> tuple[float, 
     The conjugated Gram matrix has entries (u_j, conj(u_k)).  Returns
     (lhs, rhs) so a verifier can compare them.
     """
-    _check_same_dim(u1, u)
-    _check_same_dim(u, u2)
     v = (u1, u, u2)
     lhs = gram_imaginary(u1, u, u2).det()
     conj_entries = np.array([[inner(a, conjugate(b)) for b in v] for a in v])

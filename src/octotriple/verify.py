@@ -14,14 +14,15 @@ Residuals are normalized before aggregation: a residual r of an identity
 with natural scale s contributes r / (f * (s + abs/rel)), where f is the
 identity's tolerance factor (1 for most identities, 10 for the
 degree-six length formulas).  A suite passes when the maximum normalized
-residual is at most the relative tolerance.  Vector identities use the
-product of argument norms as scale; inner-product and norm identities
-use its square.
+residual is at most the relative tolerance; a non-finite residual counts
+as infinite.  Vector identities use the product of argument norms as
+scale; inner-product and norm identities use its square.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,18 +116,12 @@ class Channels:
 
     def add(self, name: str, residual: float, scale: float, factor: float = 1.0) -> None:
         floor = self.tol.abs / self.tol.rel
-        val = float(residual) / (factor * (scale + floor))
-        if val > self.maxima.get(name, 0.0):
-            self.maxima[name] = val
-        else:
-            self.maxima.setdefault(name, val)
+        self.add_exact(name, float(residual) / (factor * (scale + floor)))
 
     def add_exact(self, name: str, residual: float) -> None:
-        val = float(residual)
-        if val > self.maxima.get(name, 0.0):
-            self.maxima[name] = val
-        else:
-            self.maxima.setdefault(name, val)
+        # a non-finite value records as inf, so it can neither be dropped nor pass
+        val = float(residual) if math.isfinite(residual) else math.inf
+        self.maxima[name] = max(self.maxima.get(name, val), val)
 
     def note(self, key: str, value: object) -> None:
         self.notes[key] = value
@@ -204,15 +199,11 @@ def _decomposition_suite(dim: int, rng: np.random.Generator, ch: Channels) -> No
     ub = conjugate(u)
 
     d = tp.decompose_triple(u1, u, u2)
-    p_left = multiply(multiply(u1, ub), u2)
-    p_swap = multiply(multiply(u2, ub), u1)
-    p_swap_right = multiply(u2, multiply(ub, u1))
-    p_right = multiply(u1, multiply(ub, u2))
-    ch.add("reconstruction",
-           max(norm(p_left - (d.anti + d.comm + d.assoc)),
-               norm(p_swap - (d.anti - d.comm - d.assoc)),
-               norm(p_swap_right - (d.anti - d.comm + d.assoc)),
-               norm(p_right - (d.anti + d.comm - d.assoc))), s)
+    # the four bracket/order variants, by hand, are the inverse transform of the parts
+    variants = (multiply(multiply(u1, ub), u2), multiply(multiply(u2, ub), u1),
+                multiply(u2, multiply(ub, u1)), multiply(u1, multiply(ub, u2)))
+    parts = np.array([d.anti.coeffs, d.assoc.coeffs, np.zeros(dim), d.comm.coeffs])
+    ch.add("reconstruction", _row_norm(hd.transform(parts) - [p.coeffs for p in variants]), s)
     ch.add("stored_residual", d.residual, s)
     ch.add("parts_match_operations",
            max(norm(d.anti - tp.anticommutator3(u1, u, u2)),
@@ -232,11 +223,10 @@ def _decomposition_suite(dim: int, rng: np.random.Generator, ch: Channels) -> No
            max(norm(d.anti - tp.anticommutator3_closed(u1, u, u2)),
                norm(d.comm - tp.commutator3_closed(u1, u, u2))), s)
 
-    ch.add("associator_cancellation",
-           norm(tp.associator3(u1, u, u2) + tp.associator3(u2, u, u1)), s)
+    assoc_swap = norm(tp.associator3(u1, u, u2) + tp.associator3(u2, u, u1))
+    ch.add("associator_cancellation", assoc_swap, s)
     ch.add("antisymmetry",
-           max(norm(tp.commutator3(u1, u, u2) + tp.commutator3(u2, u, u1)),
-               norm(tp.associator3(u1, u, u2) + tp.associator3(u2, u, u1))), s)
+           max(norm(tp.commutator3(u1, u, u2) + tp.commutator3(u2, u, u1)), assoc_swap), s)
     ch.add("degenerate_pair",
            max(norm(tp.commutator3(u1, u, u1)), norm(tp.associator3(u1, u, u1))),
            s1 * s1 * su)
@@ -313,99 +303,66 @@ def _operator_suite(dim: int, rng: np.random.Generator, ch: Channels) -> None:
     sv = s * norm(v)
     op = ops.TripleOperator(u1, u2)
     ub = conjugate(u)
+    values_u = ops._word_values(op, u)
+    values_v = ops._word_values(op, v)
 
-    # derived closed forms against the seven tabulated ones (the eighth,
-    # +*v, is derived rather than tabulated)
-    tab = {
-        ops.OpWord(): multiply(multiply(u1, ub), u2),
-        ops.OpWord(plus=True): multiply(multiply(u2, ub), u1),
-        ops.OpWord(star=True): multiply(u2, multiply(ub, u1)),
-        ops.OpWord(plus=True, star=True): multiply(u1, multiply(ub, u2)),
-        ops.OpWord(vee=True): multiply(conjugate(u2), multiply(ub, conjugate(u1))),
-        ops.OpWord(plus=True, vee=True): multiply(conjugate(u1), multiply(ub, conjugate(u2))),
-        ops.OpWord(star=True, vee=True): multiply(multiply(conjugate(u1), ub), conjugate(u2)),
-    }
-    ch.add("tabulated_closed_forms",
-           max(norm(ops.apply(op, w, u) - expected) for w, expected in tab.items()), s)
+    # derived closed forms against the seven tabulated ones, in ALL_WORDS
+    # order (the eighth, +*v, is derived rather than tabulated)
+    tab = (
+        multiply(multiply(u1, ub), u2),                           # e
+        multiply(multiply(u2, ub), u1),                           # +
+        multiply(u2, multiply(ub, u1)),                           # *
+        multiply(u1, multiply(ub, u2)),                           # +*
+        multiply(conjugate(u2), multiply(ub, conjugate(u1))),     # v
+        multiply(conjugate(u1), multiply(ub, conjugate(u2))),     # +v
+        multiply(multiply(conjugate(u1), ub), conjugate(u2)),     # *v
+    )
+    ch.add("tabulated_closed_forms", _row_norm(values_u[:7] - [t.coeffs for t in tab]), s)
 
-    # Hermitian pairing for every word: the +-partner is the true adjoint
-    ch.add("adjoint_pairing",
-           max(ops.adjoint_residual(op, u, v, word) for word in ops.ALL_WORDS), sv)
+    # Hermitian pairing for every word: the +-partner (w ^ 1) is the true adjoint
+    pairing = values_u @ v.coeffs - values_v[ops._WORD_INDEX ^ 1] @ u.coeffs
+    ch.add("adjoint_pairing", float(np.max(np.abs(pairing))), sv)
     # matrix route: transpose of the materialized operator equals the +-partner
     diff = ops.materialize(op, ops.OpWord()).T - ops.materialize(op, ops.OpWord(plus=True))
     ch.add("adjoint_transpose", float(np.max(np.abs(diff))), s_op)
 
-    # real-linearity of the transformed operators in the operand
+    # real-linearity of the transformed operators e and v in the operand
     alpha, beta = rng.standard_normal(2)
-    mix = alpha * u + beta * v
+    mixed = ops._word_values(op, alpha * u + beta * v, (ops.OpWord(), ops.OpWord(vee=True)))
     s_mix = abs(alpha) * norm(u) + abs(beta) * norm(v)
     ch.add("linearity",
-           max(norm(ops.apply(op, w, mix)
-                    - (alpha * ops.apply(op, w, u) + beta * ops.apply(op, w, v)))
-               for w in (ops.OpWord(), ops.OpWord(vee=True))), s_op * s_mix)
+           _row_norm(mixed - (alpha * values_u[[0, 4]] + beta * values_v[[0, 4]])), s_op * s_mix)
+
+    comps2 = ops._components(values_u[:4])
+    comps3 = ops._components(values_u)
 
     # two-operation components against the triple products
     ch.add("component2_anticommutator",
-           norm(ops.component2(op, +1, +1, u) - tp.anticommutator3(u1, u, u2)), s)
-    ch.add("component2_commutator",
-           norm(ops.component2(op, -1, -1, u) - tp.commutator3(u1, u, u2)), s)
-    ch.add("component2_associator",
-           norm(ops.component2(op, -1, +1, u) - tp.associator3(u1, u, u2)), s)
-    ch.add("component2_vanishing", norm(ops.component2(op, +1, -1, u)), s)
+           _row_norm(comps2[0] - tp.anticommutator3(u1, u, u2).coeffs), s)
+    ch.add("component2_commutator", _row_norm(comps2[3] - tp.commutator3(u1, u, u2).coeffs), s)
+    ch.add("component2_associator", _row_norm(comps2[1] - tp.associator3(u1, u, u2).coeffs), s)
+    ch.add("component2_vanishing", _row_norm(comps2[2]), s)
 
-    # signed-sum reconstruction of the four two-op variants
-    comps2 = {(ep, es): ops.component2(op, ep, es, u)
-              for ep in (1, -1) for es in (1, -1)}
-    recon = 0.0
-    for word in ops.TWO_OP_WORDS:
-        acc = Hyper.zero(dim)
-        for (ep, es), comp in comps2.items():
-            acc = acc + ops._word_sign(word, ep, es) * comp
-        recon = max(recon, norm(acc - ops.apply(op, word, u)))
-    ch.add("component2_reconstruction", recon, s)
+    # the transform is its own inverse up to n: it maps the components back to the values
+    ch.add("component2_reconstruction", _row_norm(hd.transform(comps2) - values_u[:4]), s)
 
     # three-operation components: reconstruction, telescoping, eigen-relations
-    values_u = {w: ops.apply(op, w, u) for w in ops.ALL_WORDS}
-    values_v = {w: ops.apply(op, w, v) for w in ops.ALL_WORDS}
-
-    def combine(values: dict, signs: ops.SignTriple, shift: ops.OpWord = ops.OpWord()) -> Hyper:
-        acc = Hyper.zero(dim)
-        for w in ops.ALL_WORDS:
-            coef = ops._word_sign(w, signs.eps_plus, signs.eps_star, signs.eps_vee)
-            acc = acc + coef * values[w.compose(shift)]
-        return acc / 8
-
-    comps3_u = {signs: combine(values_u, signs) for signs in ops.ALL_SIGN_TRIPLES}
-    total = Hyper.zero(dim)
-    for comp in comps3_u.values():
-        total = total + comp
-    ch.add("component3_sum", norm(total - values_u[ops.OpWord()]), s)
+    ch.add("component3_sum", _row_norm(comps3.sum(axis=0) - values_u[0]), s)
     ch.add("component3_public_api",
-           norm(ops.component3(op, ops.ALL_SIGN_TRIPLES[0], u) - comps3_u[ops.ALL_SIGN_TRIPLES[0]]),
-           s)
+           _row_norm(ops.component3(op, ops.ALL_SIGN_TRIPLES[0], u).coeffs - comps3[0]), s)
+    ch.add("component3_telescoping", _row_norm(comps3[:4] + comps3[4:] - comps2), s)
 
-    tele = 0.0
-    for ep in (1, -1):
-        for es in (1, -1):
-            pair = comps3_u[ops.SignTriple(ep, es, 1)] + comps3_u[ops.SignTriple(ep, es, -1)]
-            tele = max(tele, norm(pair - comps2[(ep, es)]))
-    ch.add("component3_telescoping", tele, s)
+    eig = ops._eigen_residuals(values_u, values_v, u, v).max(axis=0)
+    ch.add("component3_eigen_plus", eig[0], sv)
+    ch.add("component3_eigen_star", eig[1], s)
+    ch.add("component3_eigen_vee", eig[2], s)
+    for signs, b_u in zip(ops.ALL_SIGN_TRIPLES, comps3):
+        ch.add(f"info:three_op_norm{signs.label}", _row_norm(b_u), s)
 
-    eig_plus = eig_star = eig_vee = 0.0
-    for signs in ops.ALL_SIGN_TRIPLES:
-        b_u = comps3_u[signs]
-        b_v = combine(values_v, signs)
-        eig_plus = max(eig_plus, abs(inner(b_u, v) - signs.eps_plus * inner(u, b_v)))
-        eig_star = max(eig_star,
-                       norm(combine(values_u, signs, ops.OpWord(star=True))
-                            - signs.eps_star * b_u))
-        eig_vee = max(eig_vee,
-                      norm(combine(values_u, signs, ops.OpWord(vee=True))
-                           - signs.eps_vee * b_u))
-        ch.add(f"info:three_op_norm{signs.label}", norm(b_u), s)
-    ch.add("component3_eigen_plus", eig_plus, sv)
-    ch.add("component3_eigen_star", eig_star, s)
-    ch.add("component3_eigen_vee", eig_vee, s)
+
+def _row_norm(rows: np.ndarray) -> float:
+    """Largest Euclidean norm along the last axis."""
+    return float(np.max(np.linalg.norm(rows, axis=-1)))
 
 
 def _operator_details(ch: Channels) -> dict:
@@ -559,9 +516,9 @@ def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport
         dim=dim,
         trials=trials,
         seed=config.seed,
-        max_residual=max_residual,
+        max_residual=float(max_residual),
         tolerance_used=bar,
-        passed=max_residual <= bar,
+        passed=bool(max_residual <= bar),
         details=details,
     )
 

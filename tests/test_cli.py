@@ -8,9 +8,12 @@ import pytest
 
 from octotriple.core import Tolerance
 from octotriple.verify import (
+    Channels,
     RunConfig,
     SUITE_INDEX,
     SUITE_NAMES,
+    _Suite,
+    _run_suite,
     run_all,
     trial_generator,
 )
@@ -81,6 +84,39 @@ def test_run_all_is_reproducible():
     first = [r.to_json() for r in run_all(config)]
     second = [r.to_json() for r in run_all(config)]
     assert first == second
+
+
+def test_operator_reports_are_plain_json_types():
+    # the linearity channel's scale is a numpy float, which used to leak
+    # into max_residual and make `pass` a numpy bool that json rejects
+    config = RunConfig(seed=0, trials=10, dims=(4,))
+    for rep in run_all(config, suites=("operator",)):
+        obj = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert type(rep.max_residual) is float
+        assert type(rep.passed) is bool
+        assert obj["pass"] is rep.passed
+
+
+def test_channels_keep_nan_after_finite_value():
+    ch = Channels(Tolerance())
+    ch.add("x", 1e-20, 1.0)
+    ch.add("x", float("nan"), 1.0)
+    ch.add("x", 0.0, 1.0)
+    ch.add_exact("y", 0)
+    ch.add_exact("y", float("nan"))
+    assert ch.maxima == {"x": float("inf"), "y": float("inf")}
+
+
+def test_nan_residual_fails_the_suite():
+    residuals = iter((1e-20, float("nan"), 0.0))
+
+    def per_trial(dim, rng, ch):
+        ch.add("probe", next(residuals), 1.0)
+
+    config = RunConfig(seed=0, trials=3, dims=(4,))
+    rep = _run_suite(_Suite("core", per_trial=per_trial), config, 4)
+    assert not rep.passed
+    assert rep.max_residual == float("inf")
 
 
 def test_tightened_tolerance_fails_honestly():
@@ -157,6 +193,14 @@ def test_cli_verify_rejects_bad_dims():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("flag, value", (("--rel-tol", "inf"), ("--abs-tol", "nan"),
+                                         ("--abs-tol", "inf"), ("--rel-tol", "nan")))
+def test_cli_verify_rejects_non_finite_tolerance(flag, value):
+    res = run_cli("verify", "--trials", "1", "--dims", "4", flag, value)
+    assert res.returncode == 2
+    assert "finite" in res.stderr
+
+
 def test_cli_verify_fails_with_impossible_tolerance():
     res = run_cli("verify", "--trials", "5", "--dims", "8", "--rel-tol", "1e-18",
                   "--abs-tol", "0")
@@ -218,6 +262,14 @@ def test_cli_decompose_from_file(tmp_path):
     res = run_cli("decompose", str(path))
     assert res.returncode == 0
     assert json.loads(res.stdout)["residual"] == 0.0
+
+
+def test_cli_decompose_overflow_exits_1_without_json():
+    big = [{"dim": 4, "coeffs": [1e200, 1e200, -1e200, 1e200]} for _ in range(3)]
+    res = run_cli("decompose", json.dumps(big))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "overflows" in res.stderr
 
 
 def test_cli_decompose_rejects_malformed_json():

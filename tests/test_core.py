@@ -309,6 +309,10 @@ def test_tolerance_validation():
         Tolerance(rel=0.0)
     with pytest.raises(ValueError):
         Tolerance(rel=1e-9, abs=-1.0)
+    for rel, abs_ in ((float("inf"), 1e-12), (float("nan"), 1e-12),
+                      (1e-9, float("nan")), (1e-9, float("inf"))):
+        with pytest.raises(ValueError):
+            Tolerance(rel=rel, abs=abs_)
     t = Tolerance(rel=1e-6, abs=1e-9)
     assert t.bound(10.0) == 1e-9 + 1e-6 * 10.0
     assert t.close(1.0, 1.0 + 1e-7, scale=1000.0)

@@ -9,6 +9,7 @@ from octotriple.hadamard import (
     column_set_preserving_permutations,
     doubling_order_permutations,
     row_group_check,
+    transform,
 )
 
 A4_PRINTED = np.array([
@@ -41,6 +42,29 @@ def test_build_rejects_bad_orders():
     for n in (1, 3, 6, 16):
         with pytest.raises(ValueError):
             build(n)
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_transform_equals_matrix_product_exactly(n):
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (n, 5)):
+        v = rng.integers(-1000, 1000, size=shape).astype(np.float64)
+        np.testing.assert_array_equal(transform(v), build(n).entries @ v)
+        np.testing.assert_array_equal(transform(transform(v)), n * v)
+
+
+def test_transform_cancels_paired_rows_exactly():
+    # (a - b) + (b - a) must come out as an exact zero
+    a, b = np.array([0.1, 1e16, -3.7]), np.array([0.7, 3.0, 1e-300])
+    out = transform(np.array([a, b, b, a]))
+    np.testing.assert_array_equal(out[1], np.zeros(3))
+    np.testing.assert_array_equal(out[2], np.zeros(3))
+
+
+def test_transform_rejects_bad_orders():
+    for n in (1, 3, 16):
+        with pytest.raises(ValueError):
+            transform(np.ones((n, 2)))
 
 
 def test_sign_matrix_validation():

@@ -11,6 +11,7 @@ from octotriple.core import (
     norm_sq,
     unit,
 )
+from octotriple.hadamard import build
 from octotriple.triple import (
     GramMatrix,
     anticommutative_component_norm_sq,
@@ -258,6 +259,30 @@ def test_decomposition_with_unit_center():
         vec_close(d.anti, expected_anti, s)
         vec_close(d.comm, cross2(u1, u2), s)
         np.testing.assert_array_equal(d.assoc.coeffs, np.zeros(8))
+
+
+def test_decomposition_is_sylvester_matrix_of_word_values():
+    # rows of H4 @ V / 4 are anti, assoc, 0, comm for the four bracket/order variants
+    for dim in (4, 8):
+        u1, u, u2 = rand(dim), rand(dim), rand(dim)
+        ub = conjugate(u)
+        variants = (multiply(multiply(u1, ub), u2), multiply(multiply(u2, ub), u1),
+                    multiply(u2, multiply(ub, u1)), multiply(u1, multiply(ub, u2)))
+        rows = build(4).entries @ np.array([p.coeffs for p in variants]) / 4
+        d = decompose_triple(u1, u, u2)
+        s = norm(u1) * norm(u) * norm(u2)
+        for got, want in ((d.anti, rows[0]), (d.assoc, rows[1]), (d.comm, rows[3])):
+            vec_close(got, Hyper(dim, want), s)
+        assert np.linalg.norm(rows[2]) <= 1e-12 + 1e-9 * s
+
+
+def test_triple_dimension_mismatch_in_every_part():
+    for part in (anticommutator3, anticommutator3_alt, associator3, associator3_alt,
+                 commutator3, commutator3_alt, anticommutator3_closed, commutator3_closed):
+        for args in ((unit(4), unit(8), unit(8)), (unit(8), unit(4), unit(8)),
+                     (unit(8), unit(8), unit(4))):
+            with pytest.raises(DimensionError):
+                part(*args)
 
 
 def test_decomposition_serialization():
