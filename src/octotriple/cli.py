@@ -68,13 +68,7 @@ def _build_config(args, parser: argparse.ArgumentParser) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         tol = Tolerance(rel=args.rel_tol, abs=args.abs_tol)
-        return RunConfig(
-            seed=seed,
-            trials=args.trials,
-            dims=args.dims,
-            tolerance=tol,
-            output_format="json" if args.json else "text",
-        )
+        return RunConfig(seed=seed, trials=args.trials, dims=args.dims, tolerance=tol)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -82,7 +76,7 @@ def _build_config(args, parser: argparse.ArgumentParser) -> RunConfig:
 def _cmd_verify(args, parser) -> int:
     config = _build_config(args, parser)
     reports = run_all(config)
-    if config.output_format == "json":
+    if args.json:
         for rep in reports:
             print(rep.to_json())
     else:
@@ -110,7 +104,7 @@ def _cmd_compare(args, parser) -> int:
                 max_residual=value,
                 passed=value <= rep.tolerance_used,
             ))
-    if config.output_format == "json":
+    if args.json:
         for line in lines:
             print(line.to_json_line())
     else:

@@ -61,6 +61,11 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
+def _json_float(x: float) -> float | None:
+    """x as a strict-JSON number: inf and NaN have no JSON form and become None."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True, eq=False)
 class Hyper:
     """A hypercomplex number: dimension plus one real coefficient per basis element.

@@ -8,7 +8,9 @@ the doubling order e, a, b, ab, c, ac, bc, abc.
 
 Row permutations induced by invertible linear maps on the 3-bit labels
 preserve the set of columns; there are exactly |GL(3,2)| = 168 of them,
-of which 28 also preserve the diagonal symmetry of the matrix.
+of which 28 also preserve the diagonal symmetry of the matrix.  Each map
+is built from the images of labels 1, 2, 4; the independent brute force
+over all n! row permutations codes columns through inverse permutations.
 """
 
 from __future__ import annotations
@@ -97,12 +99,10 @@ def build(n: int) -> SignMatrix:
     """Sylvester-doubling Hadamard matrix: entry[g][h] = (-1)^popcount(g & h)."""
     if n not in VALID_ORDERS:
         raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
-    idx = np.arange(n)
-    parity = np.zeros((n, n), dtype=np.int64)
-    for g in idx:
-        for h in idx:
-            parity[g, h] = bin(g & h).count("1") & 1
-    return SignMatrix(n, 1 - 2 * parity)
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return SignMatrix(n, h)
 
 
 def transform(values: np.ndarray) -> np.ndarray:
@@ -140,52 +140,20 @@ def row_group_check(m: SignMatrix) -> bool:
     return True
 
 
-def _column_codes(entries: np.ndarray) -> np.ndarray:
-    """Encode each column as an integer so column multisets compare fast."""
-    bits = (entries > 0).astype(np.int64)
-    weights = (1 << np.arange(entries.shape[0])).astype(np.int64)
-    return weights @ bits
-
-
 def column_set_preserving_permutations(m: SignMatrix) -> list[RowPermutation]:
     """All row permutations under which the multiset of columns is unchanged.
 
     Brute force over all n! permutations; n <= 8 keeps this below 41k cases.
+    A column is coded with bit i set where row i is +1; row i of a permuted
+    matrix is source row perm[i], so source row r sets bit inverse[r].
     """
-    n = m.n
-    target = np.sort(_column_codes(m.entries))
-    perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
     bits = (m.entries > 0).astype(np.int64)
-    weights = (1 << np.arange(n)).astype(np.int64)
-    codes = np.einsum("i,pih->ph", weights, bits[perms])
+    perms = np.array(list(iter_permutations(range(m.n))), dtype=np.intp)
+    codes = (1 << np.argsort(perms, axis=1)) @ bits
     codes.sort(axis=1)
-    hits = np.nonzero(np.all(codes == target, axis=1))[0]
+    # permutations() yields the identity first, so row 0 holds the original columns
+    hits = np.nonzero(np.all(codes == codes[0], axis=1))[0]
     return [RowPermutation(tuple(int(x) for x in perms[k])) for k in hits]
-
-
-def _gf2_invertible(mat: np.ndarray) -> bool:
-    a = mat.copy() % 2
-    n = a.shape[0]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r, col]), None)
-        if pivot is None:
-            return False
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-        for r in range(n):
-            if r != col and a[r, col]:
-                a[r] ^= a[col]
-    return True
-
-
-def _apply_gf2(mat: np.ndarray, g: int, bits: int) -> int:
-    out = 0
-    for r in range(bits):
-        acc = 0
-        for c in range(bits):
-            acc ^= mat[r, c] & (g >> c)
-        out |= (acc & 1) << r
-    return out
 
 
 def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
@@ -193,17 +161,17 @@ def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
 
     These are exactly the permutations that respect the doubling order of
     the rows (the group structure under termwise multiplication); each one
-    preserves the column set.  Only order 8 is supported.
+    preserves the column set.  Only order 8 is supported.  A map sends
+    labels 1, 2, 4 to a, b, c and each label to the XOR of the images of its
+    set bits; it is invertible iff the eight images are distinct.
     """
     if m.n != 8:
         raise ValueError(f"doubling-order permutations are defined for order 8, got {m.n}")
     found = []
-    for word in range(512):
-        mat = np.array([[(word >> (3 * r + c)) & 1 for c in range(3)] for r in range(3)],
-                       dtype=np.int64)
-        if not _gf2_invertible(mat):
-            continue
-        found.append(RowPermutation(tuple(_apply_gf2(mat, g, 3) for g in range(8))))
+    for a, b, c in iter_permutations(range(1, 8), 3):
+        image = (0, a, b, a ^ b, c, a ^ c, b ^ c, a ^ b ^ c)
+        if len(set(image)) == 8:
+            found.append(RowPermutation(image))
     return sorted(found, key=lambda p: p.map)
 
 

@@ -157,3 +157,6 @@ def test_convention_report_json_line():
         "max_residual": 3.5e-16,
         "pass": True,
     }
+    # a non-finite residual has no strict-JSON form and prints as null
+    rep = ConventionReport("okubo_reconstruction/dim8", 1000, float("inf"), False)
+    assert json.loads(rep.to_json_line())["max_residual"] is None

@@ -40,8 +40,6 @@ def test_run_config_validation():
         RunConfig(dims=())
     with pytest.raises(ValueError):
         RunConfig(dims=(3,))
-    with pytest.raises(ValueError):
-        RunConfig(output_format="yaml")
 
 
 def test_suite_registry_is_stable():
@@ -57,6 +55,19 @@ def test_trial_generator_is_deterministic():
     np.testing.assert_array_equal(a, b)
     c = trial_generator(42, 1, 8).standard_normal(8)
     assert not np.array_equal(a, c)
+
+
+def test_trial_streams_do_not_collide_across_suites():
+    # an XOR-combined key gave suite 3, trial 0 the draws of suite 0, trial 3
+    a = trial_generator(42, 3, 0).standard_normal(8)
+    b = trial_generator(42, 0, 3).standard_normal(8)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("suite, trial", ((-1, 0), (0, -1), (1 << 32, 0), (0, 1 << 32)))
+def test_trial_generator_rejects_indices_outside_one_key_word(suite, trial):
+    with pytest.raises(ValueError):
+        trial_generator(42, suite, trial)
 
 
 # -- engine ---------------------------------------------------------------------
@@ -112,11 +123,20 @@ def test_nan_residual_fails_the_suite():
 
     def per_trial(dim, rng, ch):
         ch.add("probe", next(residuals), 1.0)
+        ch.add("steady", 1e-20, 1.0)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
 
     config = RunConfig(seed=0, trials=3, dims=(4,))
     rep = _run_suite(_Suite("core", per_trial=per_trial), config, 4)
     assert not rep.passed
     assert rep.max_residual == float("inf")
+    # strict JSON has no inf: the report line carries null instead
+    obj = json.loads(rep.to_json(), parse_constant=reject)
+    assert obj["pass"] is False
+    assert obj["max_residual"] is None
+    assert obj["details"]["channels"] == {"probe": None, "steady": rep.details["channels"]["steady"]}
 
 
 def test_tightened_tolerance_fails_honestly():

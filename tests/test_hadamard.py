@@ -1,6 +1,9 @@
+from itertools import permutations as iter_permutations
+
 import numpy as np
 import pytest
 
+from octotriple import verify
 from octotriple.hadamard import (
     RowPermutation,
     SignMatrix,
@@ -120,9 +123,7 @@ def test_a4_column_preserving_permutations_fix_the_top_row():
     perms = column_set_preserving_permutations(build(4))
     maps = {p.map for p in perms}
     # all six permutations of rows 1..3 qualify
-    from itertools import permutations as iperm
-
-    for rest in iperm((1, 2, 3)):
+    for rest in iter_permutations((1, 2, 3)):
         assert (0,) + rest in maps
     assert len(maps) == 6
 
@@ -163,7 +164,19 @@ def test_automorphisms_are_exactly_the_column_preserving_permutations():
     m = build(8)
     brute = {p.map for p in column_set_preserving_permutations(m)}
     linear = {p.map for p in doubling_order_permutations(m)}
-    assert linear <= brute
+    assert linear == brute
+
+
+def test_a4_brute_force_matches_permuting_every_row_order():
+    # reference route: materialize each of the 24 row orders and compare sorted columns
+    m = build(4)
+    original = sorted(map(tuple, m.entries.T.tolist()))
+    expected = set()
+    for order in iter_permutations(range(4)):
+        permuted = m.permuted_rows(RowPermutation(order))
+        if sorted(map(tuple, permuted.entries.T.tolist())) == original:
+            expected.add(order)
+    assert {p.map for p in column_set_preserving_permutations(m)} == expected
 
 
 def test_bit_swap_automorphism_exchanges_paired_rows():
@@ -208,3 +221,20 @@ def test_a4_swap_of_last_two_rows_reorders_columns_1342():
     for j in range(4):
         np.testing.assert_array_equal(swapped.entries[:, j], swapped.entries[order[j]])
     assert not swapped.is_symmetric()
+
+
+@pytest.mark.parametrize("broken", ("dropped", "non_linear"))
+def test_hadamard_suite_fails_on_a_broken_automorphism_set(monkeypatch, broken):
+    linear = doubling_order_permutations
+
+    def tampered(m):
+        perms = linear(m)[:-1]
+        if broken == "non_linear":
+            # keeps the count at 168; a linear map fixing 2 and 4 fixes 6, this one sends it to 7
+            perms.append(RowPermutation((0, 1, 2, 3, 4, 5, 7, 6)))
+        return perms
+
+    monkeypatch.setattr(verify.hd, "doubling_order_permutations", tampered)
+    [rep] = verify.run_all(verify.RunConfig(trials=1, dims=(8,)), suites=("hadamard",))
+    assert not rep.passed
+    assert rep.details["channels"]["group_closure"] > 0
