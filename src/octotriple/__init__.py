@@ -71,7 +71,6 @@ from .hadamard import (
     row_group_check,
 )
 from .bridge import (
-    ConventionReport,
     bac_cab_residual,
     dray_manogue_cross,
     dray_manogue_residual,

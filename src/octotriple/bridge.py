@@ -18,32 +18,8 @@ can report which variant actually holds.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
-from .core import Hyper, _json_float, conjugate, imaginary_part, inner, multiply, norm, scalar_part, unit
+from .core import Hyper, conjugate, imaginary_part, inner, multiply, norm, scalar_part, unit
 from .triple import associator3, commutator3, cross2, decompose_triple
-
-
-@dataclass(frozen=True)
-class ConventionReport:
-    """Outcome of one convention identity over a batch of trials."""
-
-    identity_name: str
-    trials: int
-    max_residual: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "trials": self.trials,
-            "max_residual": _json_float(self.max_residual),
-            "pass": self.passed,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def bac_cab_residual(a: Hyper, b: Hyper, c: Hyper, flip_sign: bool = False) -> float:

@@ -1,25 +1,23 @@
 """Command-line front end.
 
 Subcommands:
-  verify      run every verification suite with deterministic randomness
-  compare     run only the convention-bridge identities, one report line each
+  verify      run the verification suites (all, or those named by --suites)
+              with deterministic randomness
   decompose   split a user-supplied triple into its three orthogonal parts
   hadamard    render a sign matrix and, for order 8, its permutation counts
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 at least one suite failed or a decomposition is not finite, 2 bad flags
-or malformed input.  The default seed comes from OCTOTRIPLE_SEED when set.
+or malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .bridge import ConventionReport
 from .core import Hyper, Tolerance, VALID_DIMS, norm_sq
 from .hadamard import VALID_ORDERS, build, classify_symmetry, doubling_order_permutations
 from .triple import (
@@ -28,18 +26,7 @@ from .triple import (
     commutator3_norm_sq,
     decompose_triple,
 )
-from .verify import RunConfig, run_all
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("OCTOTRIPLE_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"octotriple: OCTOTRIPLE_SEED must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
+from .verify import SUITE_NAMES, RunConfig, run_all
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -53,29 +40,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="base seed (default: OCTOTRIPLE_SEED or 0)")
-    sub.add_argument("--trials", type=int, default=1000, help="trials per suite")
-    sub.add_argument("--dims", type=_parse_dims, default=(4, 8),
-                     help="comma-separated dimensions, e.g. 4,8")
-    sub.add_argument("--rel-tol", type=float, default=1e-9)
-    sub.add_argument("--abs-tol", type=float, default=1e-12)
-    sub.add_argument("--json", action="store_true", help="emit JSON reports")
-
-
-def _build_config(args, parser: argparse.ArgumentParser) -> RunConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _cmd_verify(args, parser) -> int:
     try:
         tol = Tolerance(rel=args.rel_tol, abs=args.abs_tol)
-        return RunConfig(seed=seed, trials=args.trials, dims=args.dims, tolerance=tol)
+        config = RunConfig(seed=args.seed, trials=args.trials, dims=args.dims, tolerance=tol)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _cmd_verify(args, parser) -> int:
-    config = _build_config(args, parser)
-    reports = run_all(config)
+    reports = run_all(config, suites=tuple(args.suites))
     if args.json:
         for rep in reports:
             print(rep.to_json())
@@ -85,34 +56,6 @@ def _cmd_verify(args, parser) -> int:
             print(f"{status}  {rep.suite:<14} dim={rep.dim}  trials={rep.trials}  "
                   f"max_residual={rep.max_residual:.3e}  tol={rep.tolerance_used:.1e}")
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _cmd_compare(args, parser) -> int:
-    config = _build_config(args, parser)
-    reports = run_all(config, suites=("bridge",))
-    lines = []
-    ok = True
-    for rep in reports:
-        ok = ok and rep.passed
-        channels = rep.details["channels"]
-        for name, value in channels.items():
-            if name.startswith("info:"):
-                continue
-            lines.append(ConventionReport(
-                identity_name=f"{name}/dim{rep.dim}",
-                trials=rep.trials,
-                max_residual=value,
-                passed=value <= rep.tolerance_used,
-            ))
-    if args.json:
-        for line in lines:
-            print(line.to_json_line())
-    else:
-        for line in lines:
-            status = "PASS" if line.passed else "FAIL"
-            print(f"{status}  {line.identity_name:<36} trials={line.trials}  "
-                  f"max_residual={line.max_residual:.3e}")
-    return 0 if ok else 1
 
 
 def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
@@ -151,21 +94,12 @@ def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
 def _cmd_decompose(args, parser) -> int:
     u1, u, u2 = _load_triple(args.input, parser)
     d = decompose_triple(u1, u, u2)
-    out = {
-        "anti": d.anti.to_dict(),
-        "comm": d.comm.to_dict(),
-        "assoc": d.assoc.to_dict(),
-        "residual": d.residual,
-        "norm_sq": {
-            "anti": norm_sq(d.anti),
-            "comm": norm_sq(d.comm),
-            "assoc": norm_sq(d.assoc),
-        },
-        "closed_form_norm_sq": {
-            "anti": anticommutator3_norm_sq(u1, u, u2),
-            "comm": commutator3_norm_sq(u1, u, u2),
-            "assoc": associator3_norm_sq(u1, u, u2),
-        },
+    out = d.to_dict()
+    out["norm_sq"] = {"anti": norm_sq(d.anti), "comm": norm_sq(d.comm), "assoc": norm_sq(d.assoc)}
+    out["closed_form_norm_sq"] = {
+        "anti": anticommutator3_norm_sq(u1, u, u2),
+        "comm": commutator3_norm_sq(u1, u, u2),
+        "assoc": associator3_norm_sq(u1, u, u2),
     }
     try:
         text = json.dumps(out, sort_keys=True, indent=2, allow_nan=False)
@@ -200,11 +134,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = subs.add_parser("verify", help="run all verification suites")
-    _add_run_flags(p_verify)
-
-    p_compare = subs.add_parser("compare", help="run the convention-bridge identities")
-    _add_run_flags(p_compare)
+    p_verify = subs.add_parser("verify", help="run the verification suites")
+    p_verify.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+    p_verify.add_argument("--trials", type=int, default=1000, help="trials per suite")
+    p_verify.add_argument("--dims", type=_parse_dims, default=(4, 8),
+                          help="comma-separated dimensions, e.g. 4,8")
+    p_verify.add_argument("--rel-tol", type=float, default=1e-9)
+    p_verify.add_argument("--abs-tol", type=float, default=1e-12)
+    p_verify.add_argument("--suites", nargs="+", choices=SUITE_NAMES, default=SUITE_NAMES,
+                          help="suites to run (default: all)")
+    p_verify.add_argument("--json", action="store_true", help="emit JSON reports")
 
     p_dec = subs.add_parser("decompose", help="decompose a triple given as JSON")
     p_dec.add_argument("input",
@@ -222,8 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args, parser)
-    if args.command == "compare":
-        return _cmd_compare(args, parser)
     if args.command == "decompose":
         return _cmd_decompose(args, parser)
     return _cmd_hadamard(args, parser)

@@ -186,7 +186,7 @@ class Hyper:
         return cls(dim, np.asarray(coeffs, dtype=np.float64))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Hyper":

@@ -136,7 +136,7 @@ class TripleDecomposition:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def decompose_triple(u1: Hyper, u: Hyper, u2: Hyper) -> TripleDecomposition:

@@ -527,10 +527,14 @@ def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport
 
 
 def run_all(config: RunConfig, suites: tuple[str, ...] = SUITE_NAMES) -> list[VerificationReport]:
-    """Run the named suites over every configured dimension.
+    """Run the named suites, in registry order, over every configured dimension.
 
     Dimension-independent suites (hadamard) run once and report dim 8.
+    Raises ValueError unless `suites` is a non-empty collection of names
+    from SUITE_NAMES, so a selection can never run nothing and pass.
     """
+    if isinstance(suites, str) or not suites or not set(suites) <= set(SUITE_NAMES):
+        raise ValueError(f"suites must be a non-empty collection of {SUITE_NAMES}, got {suites!r}")
     reports = []
     for suite in _SUITES:
         if suite.name not in suites:

@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from octotriple.bridge import (
-    ConventionReport,
     bac_cab_residual,
     dray_manogue_cross,
     dray_manogue_residual,
@@ -143,20 +140,3 @@ def test_dray_manogue_is_commutator_minus_associator(dim):
     for _ in range(100):
         u1, u, u2 = rand(dim), rand(dim), rand(dim)
         assert dray_manogue_residual(u1, u, u2) <= 1e-12 + 1e-9 * scale3(u1, u, u2)
-
-
-# -- report serialization ------------------------------------------------------------
-
-
-def test_convention_report_json_line():
-    rep = ConventionReport("okubo_reconstruction/dim8", 1000, 3.5e-16, True)
-    obj = json.loads(rep.to_json_line())
-    assert obj == {
-        "identity_name": "okubo_reconstruction/dim8",
-        "trials": 1000,
-        "max_residual": 3.5e-16,
-        "pass": True,
-    }
-    # a non-finite residual has no strict-JSON form and prints as null
-    rep = ConventionReport("okubo_reconstruction/dim8", 1000, float("inf"), False)
-    assert json.loads(rep.to_json_line())["max_residual"] is None

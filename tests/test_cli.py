@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -19,14 +18,10 @@ from octotriple.verify import (
 )
 
 
-def run_cli(*args, env_extra=None, stdin=None):
-    env = dict(os.environ)
-    env.pop("OCTOTRIPLE_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "octotriple", *args],
-        capture_output=True, text=True, env=env, input=stdin,
+        capture_output=True, text=True, input=stdin,
     )
 
 
@@ -139,6 +134,14 @@ def test_nan_residual_fails_the_suite():
     assert obj["details"]["channels"] == {"probe": None, "steady": rep.details["channels"]["steady"]}
 
 
+@pytest.mark.parametrize("suites", (("nope",), ("core", "nope"), (), "core", "nope"),
+                         ids=("unknown", "one_unknown", "empty", "bare_name", "bare_unknown"))
+def test_run_all_rejects_a_selection_that_is_not_suite_names(suites):
+    # a selection that runs nothing, or matches names as substrings, must not pass quietly
+    with pytest.raises(ValueError, match="suites"):
+        run_all(RunConfig(trials=1, dims=(4,)), suites=suites)
+
+
 def test_tightened_tolerance_fails_honestly():
     # residuals sit around 1e-16, so an absurd tolerance must fail suites
     config = RunConfig(seed=7, trials=5, dims=(8,),
@@ -196,13 +199,6 @@ def test_cli_verify_different_seed_changes_output():
     assert a.stdout != b.stdout
 
 
-def test_cli_verify_env_seed_default():
-    via_env = run_cli("verify", "--trials", "10", "--dims", "8", "--json",
-                      env_extra={"OCTOTRIPLE_SEED": "31"})
-    via_flag = run_cli("verify", "--seed", "31", "--trials", "10", "--dims", "8", "--json")
-    assert via_env.stdout == via_flag.stdout
-
-
 def test_cli_verify_rejects_zero_trials():
     res = run_cli("verify", "--trials", "0")
     assert res.returncode == 2
@@ -228,20 +224,27 @@ def test_cli_verify_fails_with_impossible_tolerance():
     assert "FAIL" in res.stdout
 
 
-# -- CLI: compare -----------------------------------------------------------------
+def test_cli_verify_suites_prints_the_selected_lines_of_the_full_run():
+    common = ("--seed", "5", "--trials", "10", "--dims", "4,8", "--json")
+    full = run_cli("verify", *common)
+    some = run_cli("verify", *common, "--suites", "bridge", "hadamard")
+    assert full.returncode == 0 and some.returncode == 0, some.stderr
+    wanted = [line for line in full.stdout.splitlines()
+              if json.loads(line)["suite"] in ("bridge", "hadamard")]
+    assert len(wanted) == 3
+    assert some.stdout == "".join(line + "\n" for line in wanted)
 
 
-def test_cli_compare_emits_json_lines():
-    res = run_cli("compare", "--trials", "10", "--dims", "8", "--json")
-    assert res.returncode == 0
-    lines = [json.loads(line) for line in res.stdout.splitlines()]
-    assert lines
-    names = {obj["identity_name"] for obj in lines}
-    assert "okubo_reconstruction/dim8" in names
-    assert "bac_cab/dim8" in names
-    for obj in lines:
-        assert set(obj) == {"identity_name", "trials", "max_residual", "pass"}
-        assert obj["pass"] is True
+def test_cli_verify_rejects_unknown_suite():
+    res = run_cli("verify", "--trials", "1", "--dims", "4", "--suites", "bridge", "nope")
+    assert res.returncode == 2
+    assert "nope" in res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_compare_is_gone():
+    res = run_cli("compare", "--trials", "1", "--dims", "8")
+    assert res.returncode == 2
 
 
 # -- CLI: decompose ----------------------------------------------------------------

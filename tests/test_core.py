@@ -329,6 +329,15 @@ def test_json_round_trip():
     np.testing.assert_array_equal(again.coeffs, u.coeffs)
 
 
+def test_json_rejects_non_finite_coefficients():
+    # the product overflows; strict JSON has no NaN or Infinity
+    u = Hyper(8, [1e200] * 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = u * u
+    with pytest.raises(ValueError):
+        square.to_json()
+
+
 @given(hyper_st())
 def test_json_round_trip_random(u):
     again = Hyper.from_json(u.to_json())

@@ -295,6 +295,15 @@ def test_decomposition_serialization():
     assert '"residual"' in d.to_json()
 
 
+def test_decomposition_json_rejects_overflow():
+    # the parts overflow to inf/NaN, which strict JSON cannot carry
+    u = Hyper(8, [1e200] * 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = decompose_triple(u, u, u)
+    with pytest.raises(ValueError):
+        d.to_json()
+
+
 def test_triple_dimension_mismatch():
     with pytest.raises(DimensionError):
         decompose_triple(unit(4), unit(8), unit(8))
