@@ -18,8 +18,23 @@ can report which variant actually holds.
 
 from __future__ import annotations
 
-from .core import Hyper, conjugate, imaginary_part, inner, multiply, norm, scalar_part, unit
-from .triple import associator3, commutator3, cross2, decompose_triple
+from .core import Hyper, _coeffs, _conjugate, _imaginary_part, _inner, _multiply, _norm
+# `multiply` stays bound in this module as it was before the array forms: the
+# benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
+# package that binds it.
+from .core import multiply  # noqa: F401
+from .triple import _associator3, _commutator3, _cross2, _decompose_triple
+
+# Each check has an array form `_name` over coefficient arrays whose last
+# axis is the basis index (see `core`), wrapped by the public function.
+
+
+def _bac_cab_residual(a, b, c, flip_sign=False):
+    av, bv, cv = _imaginary_part(a), _imaginary_part(b), _imaginary_part(c)
+    lhs = (_cross2(av, _cross2(bv, cv)) - _inner(av, cv)[..., None] * bv
+           + _inner(av, bv)[..., None] * cv)
+    rhs = _associator3(av, bv, cv)
+    return _norm(lhs + rhs if flip_sign else lhs - rhs)
 
 
 def bac_cab_residual(a: Hyper, b: Hyper, c: Hyper, flip_sign: bool = False) -> float:
@@ -30,20 +45,27 @@ def bac_cab_residual(a: Hyper, b: Hyper, c: Hyper, flip_sign: bool = False) -> f
     for verifiers because the associator convention differs by a factor
     of -2 across sources.
     """
-    av, bv, cv = imaginary_part(a), imaginary_part(b), imaginary_part(c)
-    lhs = cross2(av, cross2(bv, cv)) - inner(av, cv) * bv + inner(av, bv) * cv
-    rhs = associator3(av, bv, cv)
-    if flip_sign:
-        rhs = -rhs
-    return norm(lhs - rhs)
+    return float(_bac_cab_residual(*_coeffs(a, b, c), flip_sign=flip_sign))
+
+
+def _okubo_reconstruction_residual(u1, u, u2):
+    lhs = _multiply(_multiply(u1, u), u2)
+    anti, comm, assoc, _ = _decompose_triple(u1, u, u2)
+    rhs = 2 * u[..., :1] * _multiply(u1, u2) - anti - comm - assoc
+    return _norm(lhs - rhs)
 
 
 def okubo_reconstruction_residual(u1: Hyper, u: Hyper, u2: Hyper) -> float:
     """Residual of (u1 u) u2 = 2 (u,i0) u1 u2 - {u1,u,u2} - [u1,u,u2] - <u1,u,u2>."""
-    lhs = multiply(multiply(u1, u), u2)
-    d = decompose_triple(u1, u, u2)
-    rhs = 2 * scalar_part(u) * multiply(u1, u2) - d.anti - d.comm - d.assoc
-    return norm(lhs - rhs)
+    return float(_okubo_reconstruction_residual(*_coeffs(u1, u, u2)))
+
+
+def _okubo_bracket(u1, u, u2):
+    c_u1_u = _cross2(u1, u)
+    out = (-_associator3(u1, u, u2) + u1[..., :1] * _cross2(u, u2)
+           + u[..., :1] * _cross2(u2, u1) + u2[..., :1] * c_u1_u)
+    out[..., 0] -= _inner(u2, c_u1_u)
+    return out
 
 
 def okubo_bracket(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
@@ -51,11 +73,15 @@ def okubo_bracket(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
 
     -<u1,u,u2> + (u1,i0)[u,u2] + (u,i0)[u2,u1] + (u2,i0)[u1,u] - (u2,[u1,u]) i0
     """
-    out = -associator3(u1, u, u2)
-    out = out + scalar_part(u1) * cross2(u, u2)
-    out = out + scalar_part(u) * cross2(u2, u1)
-    out = out + scalar_part(u2) * cross2(u1, u)
-    return out - inner(u2, cross2(u1, u)) * unit(u1.dim)
+    return Hyper._wrap(u1.dim, _okubo_bracket(*_coeffs(u1, u, u2)))
+
+
+def _okubo_bracket_display_residual(u1, u, u2):
+    lhs = _multiply(_multiply(u1, u), u2)
+    rhs = _okubo_bracket(u1, u, u2) + 2 * u[..., :1] * _multiply(u1, u2)
+    rhs = (rhs - _inner(u, u2)[..., None] * u1 - _inner(u1, u)[..., None] * u2
+           + _inner(u1, u2)[..., None] * u)
+    return _norm(lhs - rhs)
 
 
 def okubo_bracket_display_residual(u1: Hyper, u: Hyper, u2: Hyper) -> float:
@@ -63,10 +89,12 @@ def okubo_bracket_display_residual(u1: Hyper, u: Hyper, u2: Hyper) -> float:
 
     (u1 u) u2 = bracket + 2 (u,i0) u1 u2 - (u,u2) u1 - (u1,u) u2 + (u1,u2) u
     """
-    lhs = multiply(multiply(u1, u), u2)
-    rhs = okubo_bracket(u1, u, u2) + 2 * scalar_part(u) * multiply(u1, u2)
-    rhs = rhs - inner(u, u2) * u1 - inner(u1, u) * u2 + inner(u1, u2) * u
-    return norm(lhs - rhs)
+    return float(_okubo_bracket_display_residual(*_coeffs(u1, u, u2)))
+
+
+def _dray_manogue_cross(u1, u, u2):
+    ub = _conjugate(u)
+    return (_multiply(u1, _multiply(ub, u2)) - _multiply(u2, _multiply(ub, u1))) / 2
 
 
 def dray_manogue_cross(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
@@ -75,12 +103,14 @@ def dray_manogue_cross(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
     Equals [u1,u,u2] - <u1,u,u2>, so it merges the commutator and the
     associator into a single difference.
     """
-    ub = conjugate(u)
-    return (multiply(u1, multiply(ub, u2)) - multiply(u2, multiply(ub, u1))) / 2
+    return Hyper._wrap(u1.dim, _dray_manogue_cross(*_coeffs(u1, u, u2)))
+
+
+def _dray_manogue_residual(u1, u, u2):
+    rhs = _commutator3(u1, u, u2) - _associator3(u1, u, u2)
+    return _norm(_dray_manogue_cross(u1, u, u2) - rhs)
 
 
 def dray_manogue_residual(u1: Hyper, u: Hyper, u2: Hyper) -> float:
     """Residual of dray_manogue_cross = commutator3 - associator3."""
-    lhs = dray_manogue_cross(u1, u, u2)
-    rhs = commutator3(u1, u, u2) - associator3(u1, u, u2)
-    return norm(lhs - rhs)
+    return float(_dray_manogue_residual(*_coeffs(u1, u, u2)))

@@ -9,7 +9,9 @@ Cayley-Dickson rule
 applied recursively from the reals.  Under this convention the quaternion
 block satisfies i1*i2 == i3, i2*i1 == -i3.  Since i_i * i_j = +-i_{i xor j},
 every product is one XOR-indexed kernel, (a*b)[k] = sum_i s[i, k] a[i] b[i xor k],
-with the index and sign tables built once per dimension.
+with the index and sign tables built once per dimension.  The same kernel
+multiplies whole (trials, dim) blocks of coefficient vectors at once; the
+Hyper functions are thin wrappers over these array forms.
 """
 
 from __future__ import annotations
@@ -230,6 +232,61 @@ def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return xor, sign
 
 
+# -- array forms -------------------------------------------------------------
+#
+# `_name` is the array form of the Hyper function `name`: it takes float64
+# coefficient arrays whose last axis is the basis index, so a (trials, dim)
+# block holds one value per row, and leading axes broadcast.  The Hyper
+# functions below check dimensions and wrap the array forms.
+
+
+def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product over the last axis.  Two vectors take one gather of b by the XOR
+    table, one product with the sign table and one vector-matrix product;
+    blocks take the same gather of b[..., xor] and one batched matmul."""
+    xor, sign = _product_tables(a.shape[-1])
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ (sign * b[xor])
+    return np.matmul(a[..., None, :], sign * b[..., xor])[..., 0, :]
+
+
+def _conjugate(x: np.ndarray) -> np.ndarray:
+    out = -x
+    out[..., 0] = x[..., 0]
+    return out
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if x.ndim == 1 and y.ndim == 1:
+        return np.dot(x, y)
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _norm_sq(x: np.ndarray) -> np.ndarray:
+    return _inner(x, x)
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_norm_sq(x))
+
+
+def _imaginary_part(x: np.ndarray) -> np.ndarray:
+    out = x.copy()
+    out[..., 0] = 0.0
+    return out
+
+
+def _spacetime_interval(x: np.ndarray) -> np.ndarray:
+    return 2.0 * x[..., 0] * x[..., 0] - _norm_sq(x)
+
+
+def _coeffs(*values: Hyper) -> tuple[np.ndarray, ...]:
+    """Coefficient vectors of Hyper values that must share one dimension."""
+    for v in values[1:]:
+        _check_same_dim(values[0], v)
+    return tuple(v.coeffs for v in values)
+
+
 # -- operations --------------------------------------------------------------
 
 
@@ -239,29 +296,24 @@ def unit(dim: int) -> Hyper:
 
 
 def multiply(a: Hyper, b: Hyper) -> Hyper:
-    """Bilinear product under the pinned doubling rule: one gather of b by the
-    XOR table, one product with the sign table, one vector-matrix product."""
+    """Bilinear product under the pinned doubling rule (see `_multiply`)."""
     _check_same_dim(a, b)
-    xor, sign = _product_tables(a.dim)
-    return Hyper._wrap(a.dim, a.coeffs @ (sign * b.coeffs[xor]))
+    return Hyper._wrap(a.dim, _multiply(a.coeffs, b.coeffs))
 
 
 def conjugate(u: Hyper) -> Hyper:
     """Negate the imaginary coefficients, keep the real one."""
-    out = -u.coeffs.copy()
-    out[0] = u.coeffs[0]
-    return Hyper._wrap(u.dim, out)
+    return Hyper._wrap(u.dim, _conjugate(u.coeffs))
 
 
 def inner(u1: Hyper, u2: Hyper) -> float:
     """Euclidean inner product of the coefficient vectors."""
-    _check_same_dim(u1, u2)
-    return float(np.dot(u1.coeffs, u2.coeffs))
+    return float(_inner(*_coeffs(u1, u2)))
 
 
 def norm_sq(u: Hyper) -> float:
     """Squared length (u, u)."""
-    return float(np.dot(u.coeffs, u.coeffs))
+    return float(_norm_sq(u.coeffs))
 
 
 def norm(u: Hyper) -> float:
@@ -275,15 +327,12 @@ def scalar_part(u: Hyper) -> float:
 
 def imaginary_part(u: Hyper) -> Hyper:
     """u with its real component annulled: u - (u, i0) i0."""
-    out = u.coeffs.copy()
-    out[0] = 0.0
-    return Hyper._wrap(u.dim, out)
+    return Hyper._wrap(u.dim, _imaginary_part(u.coeffs))
 
 
 def spacetime_interval(u: Hyper) -> float:
     """The bilinear quantity (u, conj(u)) = 2 (u, i0)^2 - (u, u)."""
-    c0 = float(u.coeffs[0])
-    return 2.0 * c0 * c0 - norm_sq(u)
+    return float(_spacetime_interval(u.coeffs))
 
 
 def embed(u: Hyper, dim: int) -> Hyper:

@@ -30,7 +30,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DimensionError, Hyper, conjugate, inner, multiply
+from .core import DimensionError, Hyper, _coeffs, _conjugate, _inner, _multiply, _norm, inner
+# `multiply` stays bound in this module as it was before the array forms: the
+# benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
+# package that binds it.
+from .core import multiply  # noqa: F401
 from .hadamard import transform
 
 
@@ -183,22 +187,25 @@ class TripleOperator:
         return self.u1.dim
 
 
+def _apply(u1: np.ndarray, u2: np.ndarray, word: OpWord, u: np.ndarray) -> np.ndarray:
+    """Array form of apply: the operator with parameters u1, u2 transformed by word, at u."""
+    form = _FORMS[word]
+    left, right = (u1, u2) if form.left == 1 else (u2, u1)
+    if form.bar_left:
+        left = _conjugate(left)
+    if form.bar_right:
+        right = _conjugate(right)
+    central = _conjugate(u) if form.bar_central else u
+    if form.left_assoc:
+        return _multiply(_multiply(left, central), right)
+    return _multiply(left, _multiply(central, right))
+
+
 def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
     """Evaluate the word-transformed operator at u."""
     if u.dim != op.dim:
         raise DimensionError(f"dimension mismatch: operand {u.dim} vs operator {op.dim}")
-    form = _FORMS[word]
-    params = (op.u1, op.u2)
-    left = params[form.left - 1]
-    right = params[2 - form.left]
-    if form.bar_left:
-        left = conjugate(left)
-    if form.bar_right:
-        right = conjugate(right)
-    central = conjugate(u) if form.bar_central else u
-    if form.left_assoc:
-        return multiply(multiply(left, central), right)
-    return multiply(left, multiply(central, right))
+    return Hyper._wrap(op.dim, _apply(op.u1.coeffs, op.u2.coeffs, word, u.coeffs))
 
 
 def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
@@ -209,15 +216,16 @@ def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
     return abs(lhs - rhs)
 
 
+def _materialize(u1: np.ndarray, u2: np.ndarray, word: OpWord) -> np.ndarray:
+    """Array form of materialize: (..., dim, dim), column k the image of basis element k."""
+    return np.stack([_apply(u1, u2, word, e) for e in np.eye(u1.shape[-1])], axis=-1)
+
+
 def materialize(op: TripleOperator, word: OpWord = IDENTITY_WORD) -> np.ndarray:
     """Dense dim x dim matrix of the word-transformed operator (column k is
     the image of basis element k).  Second, matrix-level route to the adjoint:
     the +-partner's matrix must be the transpose."""
-    n = op.dim
-    mat = np.empty((n, n))
-    for k in range(n):
-        mat[:, k] = apply(op, word, Hyper.basis(n, k)).coeffs
-    return mat
+    return _materialize(op.u1.coeffs, op.u2.coeffs, word)
 
 
 # -- symmetric / skew-symmetric components -----------------------------------
@@ -226,14 +234,18 @@ _WORD_INDEX = np.arange(len(ALL_WORDS))
 _EPS = np.array([(s.eps_plus, s.eps_star, s.eps_vee) for s in ALL_SIGN_TRIPLES])
 
 
-def _word_values(op: TripleOperator, u: Hyper, words=ALL_WORDS) -> np.ndarray:
-    """A^w u for each word, one row per word in the given order."""
-    return np.array([apply(op, w, u).coeffs for w in words])
+def _word_values(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, words=ALL_WORDS) -> np.ndarray:
+    """A^w u for each word, stacked along a new first axis in the given order."""
+    return np.stack([_apply(u1, u2, w, u) for w in words])
 
 
 def _components(values: np.ndarray) -> np.ndarray:
     """Every component from the word values, row g for ALL_SIGN_TRIPLES[g]."""
     return transform(values / len(values))
+
+
+def _component3(u1: np.ndarray, u2: np.ndarray, signs: SignTriple, u: np.ndarray) -> np.ndarray:
+    return _components(_word_values(u1, u2, u))[ALL_SIGN_TRIPLES.index(signs)]
 
 
 def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hyper:
@@ -243,21 +255,25 @@ def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hy
     (-1,+1) the associator and (+1,-1) vanishes identically.
     """
     row = ALL_SIGN_TRIPLES.index(SignTriple(eps_plus, eps_star, 1))
-    return Hyper._wrap(op.dim, _components(_word_values(op, u, TWO_OP_WORDS))[row])
+    values = _word_values(*_coeffs(op.u1, op.u2, u), TWO_OP_WORDS)
+    return Hyper._wrap(op.dim, _components(values)[row])
 
 
 def component3(op: TripleOperator, signs: SignTriple, u: Hyper) -> Hyper:
     """Average over all eight words with signs eps_+^a eps_*^b eps_v^c."""
-    return Hyper._wrap(op.dim, _components(_word_values(op, u))[ALL_SIGN_TRIPLES.index(signs)])
+    u1, u2, x = _coeffs(op.u1, op.u2, u)
+    return Hyper._wrap(op.dim, _component3(u1, u2, signs, x))
 
 
 def _eigen_residuals(values_u: np.ndarray, values_v: np.ndarray,
-                     u: Hyper, v: Hyper) -> np.ndarray:
-    """(8, 3) array: the residuals of component3_eigen_residuals for every sign triple."""
+                     u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(8, 3, ...) array: the residuals of component3_eigen_residuals for every
+    sign triple, over the leading axes of u and v."""
+    eps = _EPS.T.reshape(3, 8, *(1,) * (values_u.ndim - 2))
     b_u, b_v = _components(values_u), _components(values_v)
-    r_plus = np.abs(b_u @ v.coeffs - _EPS[:, 0] * (b_v @ u.coeffs))
-    r_star = np.linalg.norm(_components(values_u[_WORD_INDEX ^ 2]) - _EPS[:, 1:2] * b_u, axis=1)
-    r_vee = np.linalg.norm(_components(values_u[_WORD_INDEX ^ 4]) - _EPS[:, 2:3] * b_u, axis=1)
+    r_plus = np.abs(_inner(b_u, v) - eps[0] * _inner(b_v, u))
+    r_star = _norm(_components(values_u[_WORD_INDEX ^ 2]) - eps[1][..., None] * b_u)
+    r_vee = _norm(_components(values_u[_WORD_INDEX ^ 4]) - eps[2][..., None] * b_u)
     return np.stack((r_plus, r_star, r_vee), axis=1)
 
 
@@ -274,5 +290,6 @@ def component3_eigen_residuals(op: TripleOperator, signs: SignTriple,
     exercises the Hermitian-conjugation content; * and v are definitional
     rewrites applied to every term.
     """
-    res = _eigen_residuals(_word_values(op, u), _word_values(op, v), u, v)
+    u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
+    res = _eigen_residuals(_word_values(u1, u2, x), _word_values(u1, u2, y), x, y)
     return tuple(float(r) for r in res[ALL_SIGN_TRIPLES.index(signs)])

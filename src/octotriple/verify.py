@@ -10,6 +10,16 @@ normal draws from a Philox counter-based generator keyed per trial as
 so no two trials share a stream, runs reproduce bit-for-bit for a given
 config, and trials are independent of execution order.
 
+Trials are evaluated in blocks of up to _BLOCK_ROWS consecutive trials
+per suite and dimension: each argument is a (rows, dim) array whose row r
+holds what the generator of the block's r-th trial draws, and every
+identity is computed for all rows at once on the array forms of the
+library (`core._multiply` and the `_name` functions wrapped by the public
+API).  Blocks bound the memory a run needs, whatever its trial count.  A trial can still be replayed
+alone: its generator, drawn in the suite's order, gives exactly its row.
+Trial 0 also runs through the public Hyper API, into the same channels,
+so the wrappers the library exposes are checked alongside the array forms.
+
 Residuals are normalized before aggregation: a residual r of an identity
 with natural scale s contributes r / (f * (s + abs/rel)), where f is the
 identity's tolerance factor (1 for most identities, 10 for the
@@ -37,7 +47,14 @@ from .core import (
     Hyper,
     Tolerance,
     VALID_DIMS,
+    _conjugate,
+    _imaginary_part,
+    _inner,
     _json_float,
+    _multiply,
+    _norm,
+    _norm_sq,
+    _spacetime_interval,
     conjugate,
     imaginary_part,
     inner,
@@ -50,6 +67,8 @@ from .core import (
 )
 
 _MASK64 = (1 << 64) - 1
+# trials evaluated together; the largest array of a block is (_BLOCK_ROWS, dim, dim)
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -116,9 +135,15 @@ class Channels:
         self.maxima: dict[str, float] = {}
         self.notes: dict[str, object] = {}
 
-    def add(self, name: str, residual: float, scale: float, factor: float = 1.0) -> None:
+    def add(self, name: str, residual, scale, factor: float = 1.0) -> None:
+        """Record the largest residual / (factor * (scale + abs/rel)).
+
+        residual and scale are numbers or arrays that broadcast together,
+        typically one entry per trial; a NaN anywhere propagates to the
+        maximum and is recorded as inf.
+        """
         floor = self.tol.abs / self.tol.rel
-        self.add_exact(name, float(residual) / (factor * (scale + floor)))
+        self.add_exact(name, np.max(np.divide(residual, factor * (scale + floor))))
 
     def add_exact(self, name: str, residual: float) -> None:
         # a non-finite value records as inf, so it can neither be dropped nor pass
@@ -140,234 +165,314 @@ def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw(rng: np.random.Generator, dim: int, count: int) -> list[Hyper]:
-    return [Hyper(dim, rng.standard_normal(dim)) for _ in range(count)]
+# In the per-trial suites every residual and scale is a vector with one
+# entry per trial.  Terms of a combined channel are joined with np.maximum,
+# which keeps a NaN where Python's max would drop it.  Each suite's
+# `_public` function takes trial 0's draws as single vectors and runs some
+# of the same identities through the public Hyper API.
+
+
+def _hypers(dim: int, row: tuple[np.ndarray, ...]) -> tuple[Hyper, ...]:
+    return tuple(Hyper(dim, x) for x in row)
 
 
 # -- suite: core identities ---------------------------------------------------
 
 
-def _core_suite(dim: int, rng: np.random.Generator, ch: Channels) -> None:
-    u1, u2, u = _draw(rng, dim, 3)
-    s1, s2, su = norm(u1), norm(u2), norm(u)
-    i0 = unit(dim)
-    ub = conjugate(u)
+def _core_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u2, u = draws
+    s1, s2, su = _norm(u1), _norm(u2), _norm(u)
+    i0 = unit(dim).coeffs
+    ub = _conjugate(u)
 
-    ch.add("unit_law", max(norm(multiply(i0, u) - u), norm(multiply(u, i0) - u)), su)
-    ch.add("conjugation_involution", norm(conjugate(ub) - u), su)
-    ch.add("conjugation_formula", norm(ub - (2 * scalar_part(u) * i0 - u)), su)
+    ch.add("unit_law", np.maximum(_norm(_multiply(i0, u) - u), _norm(_multiply(u, i0) - u)), su)
+    ch.add("conjugation_involution", _norm(_conjugate(ub) - u), su)
+    ch.add("conjugation_formula", _norm(ub - (2 * u[:, :1] * i0 - u)), su)
 
-    half_sum = (multiply(u1, conjugate(u2)) + multiply(u2, conjugate(u1))) / 2
-    ch.add("inner_half_sum", norm(half_sum - inner(u1, u2) * i0), s1 * s2)
+    half_sum = (_multiply(u1, _conjugate(u2)) + _multiply(u2, _conjugate(u1))) / 2
+    ch.add("inner_half_sum", _norm(half_sum - _inner(u1, u2)[:, None] * i0), s1 * s2)
+    u_sq = _norm_sq(u)[:, None] * i0
     ch.add("norm_sq_as_product",
-           max(norm(multiply(u, ub) - norm_sq(u) * i0),
-               norm(multiply(ub, u) - norm_sq(u) * i0)), su * su)
+           np.maximum(_norm(_multiply(u, ub) - u_sq), _norm(_multiply(ub, u) - u_sq)), su * su)
 
-    p12, p21 = multiply(u1, u2), multiply(u2, u1)
+    p12, p21 = _multiply(u1, u2), _multiply(u2, u1)
     ch.add("product_reversal",
-           norm(conjugate(p12) - multiply(conjugate(u2), conjugate(u1))), s1 * s2)
+           _norm(_conjugate(p12) - _multiply(_conjugate(u2), _conjugate(u1))), s1 * s2)
     ch.add("transfer_rule",
-           max(abs(scalar_part(p12) - scalar_part(p21)),
-               abs(scalar_part(p12) - inner(u1, conjugate(u2)))), s1 * s2)
-    ch.add("trace_invariance",
-           abs(scalar_part(multiply(multiply(u1, u), u2))
-               - scalar_part(multiply(u1, multiply(u, u2)))), s1 * su * s2)
+           np.maximum(np.abs(p12[:, 0] - p21[:, 0]),
+                      np.abs(p12[:, 0] - _inner(u1, _conjugate(u2)))), s1 * s2)
+    left_bracketed = _multiply(_multiply(u1, u), u2)
+    right_bracketed = _multiply(u1, _multiply(u, u2))
+    ch.add("trace_invariance", np.abs(left_bracketed[:, 0] - right_bracketed[:, 0]), s1 * su * s2)
 
-    sandwich = 2 * inner(u1, u) * u1 - norm_sq(u1) * u
-    left = multiply(multiply(u1, ub), u1)
-    right = multiply(u1, multiply(ub, u1))
-    ch.add("sandwich", max(norm(left - sandwich), norm(right - sandwich)), s1 * s1 * su)
-    ch.add("flexibility", norm(left - right), s1 * s1 * su)
+    sandwich = 2 * _inner(u1, u)[:, None] * u1 - _norm_sq(u1)[:, None] * u
+    left = _multiply(_multiply(u1, ub), u1)
+    right = _multiply(u1, _multiply(ub, u1))
+    ch.add("sandwich", np.maximum(_norm(left - sandwich), _norm(right - sandwich)), s1 * s1 * su)
+    ch.add("flexibility", _norm(left - right), s1 * s1 * su)
 
     if dim <= 4:
-        ch.add("associativity",
-               norm(multiply(multiply(u1, u), u2) - multiply(u1, multiply(u, u2))),
-               s1 * su * s2)
+        ch.add("associativity", _norm(left_bracketed - right_bracketed), s1 * su * s2)
 
     ch.add("norm_multiplicativity",
-           abs(norm_sq(p12) - norm_sq(u1) * norm_sq(u2)), (s1 * s2) ** 2)
-    ch.add("spacetime_interval",
-           abs(inner(u, ub) - spacetime_interval(u)), su * su)
+           np.abs(_norm_sq(p12) - _norm_sq(u1) * _norm_sq(u2)), (s1 * s2) ** 2)
+    ch.add("spacetime_interval", np.abs(_inner(u, ub) - _spacetime_interval(u)), su * su)
+    im = _imaginary_part(u)
     ch.add("imaginary_part",
-           max(abs(inner(imaginary_part(u), i0)),
-               norm(imaginary_part(u) + scalar_part(u) * i0 - u)), su)
+           np.maximum(np.abs(_inner(im, i0)), _norm(im + u[:, :1] * i0 - u)), su)
+
+
+def _core_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u2, u = _hypers(dim, row)
+    s1, s2, su = norm(u1), norm(u2), norm(u)
+    i0 = unit(dim)
+    ch.add("unit_law", np.maximum(norm(multiply(i0, u) - u), norm(multiply(u, i0) - u)), su)
+    ch.add("conjugation_involution", norm(conjugate(conjugate(u)) - u), su)
+    half_sum = (multiply(u1, conjugate(u2)) + multiply(u2, conjugate(u1))) / 2
+    ch.add("inner_half_sum", norm(half_sum - inner(u1, u2) * i0), s1 * s2)
+    ch.add("norm_multiplicativity",
+           abs(norm_sq(multiply(u1, u2)) - norm_sq(u1) * norm_sq(u2)), (s1 * s2) ** 2)
+    ch.add("spacetime_interval", abs(inner(u, conjugate(u)) - spacetime_interval(u)), su * su)
+    ch.add("imaginary_part", norm(imaginary_part(u) + scalar_part(u) * i0 - u), su)
 
 
 # -- suite: triple decomposition ---------------------------------------------
 
 
-def _decomposition_suite(dim: int, rng: np.random.Generator, ch: Channels) -> None:
-    u1, u, u2, u3 = _draw(rng, dim, 4)
-    s1, su, s2, s3 = norm(u1), norm(u), norm(u2), norm(u3)
+def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2, u3 = draws
+    s1, su, s2, s3 = (_norm(x) for x in draws)
     s = s1 * su * s2
-    i0 = unit(dim)
-    ub = conjugate(u)
+    i0 = unit(dim).coeffs
+    ub = _conjugate(u)
 
-    d = tp.decompose_triple(u1, u, u2)
+    anti, comm, assoc, residual = tp._decompose_triple(u1, u, u2)
     # the four bracket/order variants, by hand, are the inverse transform of the parts
-    variants = (multiply(multiply(u1, ub), u2), multiply(multiply(u2, ub), u1),
-                multiply(u2, multiply(ub, u1)), multiply(u1, multiply(ub, u2)))
-    parts = np.array([d.anti.coeffs, d.assoc.coeffs, np.zeros(dim), d.comm.coeffs])
-    ch.add("reconstruction", _row_norm(hd.transform(parts) - [p.coeffs for p in variants]), s)
-    ch.add("stored_residual", d.residual, s)
+    variants = np.stack((_multiply(_multiply(u1, ub), u2), _multiply(_multiply(u2, ub), u1),
+                         _multiply(u2, _multiply(ub, u1)), _multiply(u1, _multiply(ub, u2))))
+    parts = np.stack((anti, assoc, np.zeros_like(anti), comm))
+    ch.add("reconstruction", _norm(hd.transform(parts) - variants), s)
+    ch.add("stored_residual", residual, s)
     ch.add("parts_match_operations",
-           max(norm(d.anti - tp.anticommutator3(u1, u, u2)),
-               norm(d.comm - tp.commutator3(u1, u, u2)),
-               norm(d.assoc - tp.associator3(u1, u, u2))), s)
+           np.maximum.reduce((_norm(anti - tp._anticommutator3(u1, u, u2)),
+                              _norm(comm - tp._commutator3(u1, u, u2)),
+                              _norm(assoc - tp._associator3(u1, u, u2)))), s)
 
     ch.add("orthogonality",
-           max(abs(inner(d.anti, d.comm)),
-               abs(inner(d.anti, d.assoc)),
-               abs(inner(d.comm, d.assoc))), s * s)
+           np.maximum.reduce((np.abs(_inner(anti, comm)),
+                              np.abs(_inner(anti, assoc)),
+                              np.abs(_inner(comm, assoc)))), s * s)
 
     ch.add("half_form_agreement",
-           max(norm(d.anti - tp.anticommutator3_alt(u1, u, u2)),
-               norm(d.comm - tp.commutator3_alt(u1, u, u2)),
-               norm(d.assoc - tp.associator3_alt(u1, u, u2))), s)
+           np.maximum.reduce((_norm(anti - tp._anticommutator3_alt(u1, u, u2)),
+                              _norm(comm - tp._commutator3_alt(u1, u, u2)),
+                              _norm(assoc - tp._associator3_alt(u1, u, u2)))), s)
     ch.add("closed_forms",
-           max(norm(d.anti - tp.anticommutator3_closed(u1, u, u2)),
-               norm(d.comm - tp.commutator3_closed(u1, u, u2))), s)
+           np.maximum(_norm(anti - tp._anticommutator3_closed(u1, u, u2)),
+                      _norm(comm - tp._commutator3_closed(u1, u, u2))), s)
 
-    assoc_swap = norm(tp.associator3(u1, u, u2) + tp.associator3(u2, u, u1))
+    assoc_swap = _norm(tp._associator3(u1, u, u2) + tp._associator3(u2, u, u1))
     ch.add("associator_cancellation", assoc_swap, s)
     ch.add("antisymmetry",
-           max(norm(tp.commutator3(u1, u, u2) + tp.commutator3(u2, u, u1)), assoc_swap), s)
+           np.maximum(_norm(tp._commutator3(u1, u, u2) + tp._commutator3(u2, u, u1)),
+                      assoc_swap), s)
     ch.add("degenerate_pair",
-           max(norm(tp.commutator3(u1, u, u1)), norm(tp.associator3(u1, u, u1))),
+           np.maximum(_norm(tp._commutator3(u1, u, u1)), _norm(tp._associator3(u1, u, u1))),
            s1 * s1 * su)
 
     for x, sx in ((u1, s1), (u, su), (u2, s2)):
-        ch.add("commutator_argument_orthogonality", abs(inner(d.comm, x)), s * sx)
-        ch.add("associator_argument_orthogonality", abs(inner(d.assoc, x)), s * sx)
-    for x, sx in ((i0, 1.0), (tp.cross2(u1, u), s1 * su),
-                  (tp.cross2(u1, u2), s1 * s2), (tp.cross2(u, u2), su * s2)):
-        ch.add("associator_extended_orthogonality", abs(inner(d.assoc, x)), s * max(sx, 1e-30))
+        ch.add("commutator_argument_orthogonality", np.abs(_inner(comm, x)), s * sx)
+        ch.add("associator_argument_orthogonality", np.abs(_inner(assoc, x)), s * sx)
+    c12 = tp._cross2(u1, u2)
+    for x, sx in ((i0, 1.0), (tp._cross2(u1, u), s1 * su), (c12, s1 * s2),
+                  (tp._cross2(u, u2), su * s2)):
+        ch.add("associator_extended_orthogonality", np.abs(_inner(assoc, x)),
+               s * np.maximum(sx, 1e-30))
 
     ch.add("mixed_product_anticommutativity",
-           max(abs(inner(tp.commutator3(u1, u, u2), u3) + inner(tp.commutator3(u3, u, u2), u1)),
-               abs(inner(tp.associator3(u1, u, u2), u3) + inner(tp.associator3(u3, u, u2), u1))),
+           np.maximum(np.abs(_inner(tp._commutator3(u1, u, u2), u3)
+                             + _inner(tp._commutator3(u3, u, u2), u1)),
+                      np.abs(_inner(tp._associator3(u1, u, u2), u3)
+                             + _inner(tp._associator3(u3, u, u2), u1))),
            s * s3)
 
     if dim <= 4:
-        ch.add("associator_zero_low_dim", norm(d.assoc), s)
+        ch.add("associator_zero_low_dim", _norm(assoc), s)
 
+    p12, p21 = _multiply(u1, u2), _multiply(u2, u1)
     ch.add("unit_center_reduction",
-           max(norm(tp.commutator3(u1, i0, u2) - tp.cross2(u1, u2)),
-               norm(tp.anticommutator3(u1, i0, u2) - (multiply(u1, u2) + multiply(u2, u1)) / 2),
-               norm(tp.associator3(u1, i0, u2))), s1 * s2)
+           np.maximum.reduce((_norm(tp._commutator3(u1, i0, u2) - c12),
+                              _norm(tp._anticommutator3(u1, i0, u2) - (p12 + p21) / 2),
+                              _norm(tp._associator3(u1, i0, u2)))), s1 * s2)
 
     ch.add("cross2_antisymmetry",
-           max(norm(tp.cross2(u, u)), norm(tp.cross2(u1, u2) + tp.cross2(u2, u1))),
-           max(su * su, s1 * s2))
-    ch.add("cross2_unit", max(norm(tp.cross2(i0, u)), norm(tp.cross2(u, i0))), su)
-    ch.add("cross2_orthogonal_to_unit", abs(scalar_part(tp.cross2(u1, u2))), s1 * s2)
+           np.maximum(_norm(tp._cross2(u, u)), _norm(c12 + tp._cross2(u2, u1))),
+           np.maximum(su * su, s1 * s2))
+    ch.add("cross2_unit", np.maximum(_norm(tp._cross2(i0, u)), _norm(tp._cross2(u, i0))), su)
+    ch.add("cross2_orthogonal_to_unit", np.abs(c12[:, 0]), s1 * s2)
     if dim == 4:
-        classic = np.cross(u1.coeffs[1:], u2.coeffs[1:])
-        ch.add("cross2_matches_3d_cross",
-               float(np.max(np.abs(tp.cross2(u1, u2).coeffs[1:] - classic))), s1 * s2)
+        classic = np.cross(u1[:, 1:], u2[:, 1:])
+        ch.add("cross2_matches_3d_cross", np.max(np.abs(c12[:, 1:] - classic), axis=-1), s1 * s2)
 
+    ch.add("pair_product_expansion", _norm(tp._pair_product_expansion(u1, u2) - p12), s1 * s2)
+
+
+def _decomposition_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2, _ = _hypers(dim, row)
+    s = norm(u1) * norm(u) * norm(u2)
+    d = tp.decompose_triple(u1, u, u2)
+    ch.add("stored_residual", d.residual, s)
+    ch.add("parts_match_operations",
+           np.maximum.reduce((norm(d.anti - tp.anticommutator3(u1, u, u2)),
+                              norm(d.comm - tp.commutator3(u1, u, u2)),
+                              norm(d.assoc - tp.associator3(u1, u, u2)))), s)
+    ch.add("half_form_agreement",
+           np.maximum.reduce((norm(d.anti - tp.anticommutator3_alt(u1, u, u2)),
+                              norm(d.comm - tp.commutator3_alt(u1, u, u2)),
+                              norm(d.assoc - tp.associator3_alt(u1, u, u2)))), s)
+    ch.add("closed_forms",
+           np.maximum(norm(d.anti - tp.anticommutator3_closed(u1, u, u2)),
+                      norm(d.comm - tp.commutator3_closed(u1, u, u2))), s)
+    ch.add("cross2_antisymmetry", norm(tp.cross2(u1, u2) + tp.cross2(u2, u1)), norm(u1) * norm(u2))
     ch.add("pair_product_expansion",
-           norm(tp.pair_product_expansion(u1, u2) - multiply(u1, u2)), s1 * s2)
+           norm(tp.pair_product_expansion(u1, u2) - multiply(u1, u2)), norm(u1) * norm(u2))
 
 
 # -- suite: length formulas ---------------------------------------------------
 
 
-def _lengths_suite(dim: int, rng: np.random.Generator, ch: Channels) -> None:
-    u1, u, u2 = _draw(rng, dim, 3)
+def _lengths_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2 = draws
+    s = _norm(u1) * _norm(u) * _norm(u2)
+    s2 = s * s
+    anti, comm, assoc, _ = tp._decompose_triple(u1, u, u2)
+    prod_sq = _norm_sq(u1) * _norm_sq(u) * _norm_sq(u2)
+
+    a = tp._anticommutator3_norm_sq(u1, u, u2)
+    c = tp._commutator3_norm_sq(u1, u, u2)
+    x = tp._associator3_norm_sq(u1, u, u2)
+    ch.add("anticommutator_length", np.abs(a - _norm_sq(anti)), s2, factor=10.0)
+    ch.add("commutator_length", np.abs(c - _norm_sq(comm)), s2, factor=10.0)
+    ch.add("associator_length", np.abs(x - _norm_sq(assoc)), s2, factor=10.0)
+    ch.add("length_sum", np.abs(a + c + x - prod_sq), s2, factor=10.0)
+    ch.add("product_norm_multiplicativity",
+           np.abs(_norm_sq(_multiply(_multiply(u1, _conjugate(u)), u2)) - prod_sq),
+           s2, factor=10.0)
+
+    ch.add("anticommutative_component",
+           np.abs(tp._anticommutative_component_norm_sq(u1, u, u2) - _norm_sq(comm + assoc)),
+           s2, factor=10.0)
+    lhs, rhs = tp._gram_det_imaginary_identity(u1, u, u2)
+    ch.add("gram_half_difference", np.abs(lhs - rhs), s2, factor=10.0)
+    ch.add("gram_positive_semidefinite", np.maximum(0.0, -tp._det3(tp._gram(u1, u, u2))), s2)
+
+
+def _lengths_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2 = _hypers(dim, row)
     s = norm(u1) * norm(u) * norm(u2)
     s2 = s * s
     d = tp.decompose_triple(u1, u, u2)
-    prod_sq = norm_sq(u1) * norm_sq(u) * norm_sq(u2)
-
-    a = tp.anticommutator3_norm_sq(u1, u, u2)
-    c = tp.commutator3_norm_sq(u1, u, u2)
-    x = tp.associator3_norm_sq(u1, u, u2)
-    ch.add("anticommutator_length", abs(a - norm_sq(d.anti)), s2, factor=10.0)
-    ch.add("commutator_length", abs(c - norm_sq(d.comm)), s2, factor=10.0)
-    ch.add("associator_length", abs(x - norm_sq(d.assoc)), s2, factor=10.0)
-    ch.add("length_sum", abs(a + c + x - prod_sq), s2, factor=10.0)
-    ch.add("product_norm_multiplicativity",
-           abs(norm_sq(multiply(multiply(u1, conjugate(u)), u2)) - prod_sq), s2, factor=10.0)
-
+    ch.add("anticommutator_length",
+           abs(tp.anticommutator3_norm_sq(u1, u, u2) - norm_sq(d.anti)), s2, factor=10.0)
+    ch.add("commutator_length",
+           abs(tp.commutator3_norm_sq(u1, u, u2) - norm_sq(d.comm)), s2, factor=10.0)
+    ch.add("associator_length",
+           abs(tp.associator3_norm_sq(u1, u, u2) - norm_sq(d.assoc)), s2, factor=10.0)
     ch.add("anticommutative_component",
            abs(tp.anticommutative_component_norm_sq(u1, u, u2) - norm_sq(d.comm + d.assoc)),
            s2, factor=10.0)
     lhs, rhs = tp.gram_det_imaginary_identity(u1, u, u2)
     ch.add("gram_half_difference", abs(lhs - rhs), s2, factor=10.0)
-    ch.add("gram_positive_semidefinite", max(0.0, -tp.gram(u1, u, u2).det()), s2)
+    ch.add("gram_positive_semidefinite", np.maximum(0.0, -tp.gram(u1, u, u2).det()), s2)
 
 
 # -- suite: operator symmetry -------------------------------------------------
 
 
-def _operator_suite(dim: int, rng: np.random.Generator, ch: Channels) -> None:
-    u1, u2, u, v = _draw(rng, dim, 4)
-    s_op = norm(u1) * norm(u2)
-    s = s_op * norm(u)
-    sv = s * norm(v)
-    op = ops.TripleOperator(u1, u2)
-    ub = conjugate(u)
-    values_u = ops._word_values(op, u)
-    values_v = ops._word_values(op, v)
+def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u2, u, v, scalars = draws
+    alpha, beta = scalars.T
+    s_op = _norm(u1) * _norm(u2)
+    s = s_op * _norm(u)
+    sv = s * _norm(v)
+    ub, c1, c2 = _conjugate(u), _conjugate(u1), _conjugate(u2)
+    values_u = ops._word_values(u1, u2, u)
+    values_v = ops._word_values(u1, u2, v)
 
     # derived closed forms against the seven tabulated ones, in ALL_WORDS
     # order (the eighth, +*v, is derived rather than tabulated)
-    tab = (
-        multiply(multiply(u1, ub), u2),                           # e
-        multiply(multiply(u2, ub), u1),                           # +
-        multiply(u2, multiply(ub, u1)),                           # *
-        multiply(u1, multiply(ub, u2)),                           # +*
-        multiply(conjugate(u2), multiply(ub, conjugate(u1))),     # v
-        multiply(conjugate(u1), multiply(ub, conjugate(u2))),     # +v
-        multiply(multiply(conjugate(u1), ub), conjugate(u2)),     # *v
-    )
-    ch.add("tabulated_closed_forms", _row_norm(values_u[:7] - [t.coeffs for t in tab]), s)
+    tab = np.stack((
+        _multiply(_multiply(u1, ub), u2),       # e
+        _multiply(_multiply(u2, ub), u1),       # +
+        _multiply(u2, _multiply(ub, u1)),       # *
+        _multiply(u1, _multiply(ub, u2)),       # +*
+        _multiply(c2, _multiply(ub, c1)),       # v
+        _multiply(c1, _multiply(ub, c2)),       # +v
+        _multiply(_multiply(c1, ub), c2),       # *v
+    ))
+    ch.add("tabulated_closed_forms", _norm(values_u[:7] - tab), s)
 
     # Hermitian pairing for every word: the +-partner (w ^ 1) is the true adjoint
-    pairing = values_u @ v.coeffs - values_v[ops._WORD_INDEX ^ 1] @ u.coeffs
-    ch.add("adjoint_pairing", float(np.max(np.abs(pairing))), sv)
+    pairing = _inner(values_u, v) - _inner(values_v[ops._WORD_INDEX ^ 1], u)
+    ch.add("adjoint_pairing", np.abs(pairing), sv)
     # matrix route: transpose of the materialized operator equals the +-partner
-    diff = ops.materialize(op, ops.OpWord()).T - ops.materialize(op, ops.OpWord(plus=True))
-    ch.add("adjoint_transpose", float(np.max(np.abs(diff))), s_op)
+    diff = (np.swapaxes(ops._materialize(u1, u2, ops.OpWord()), -1, -2)
+            - ops._materialize(u1, u2, ops.OpWord(plus=True)))
+    ch.add("adjoint_transpose", np.max(np.abs(diff), axis=(-2, -1)), s_op)
 
     # real-linearity of the transformed operators e and v in the operand
-    alpha, beta = rng.standard_normal(2)
-    mixed = ops._word_values(op, alpha * u + beta * v, (ops.OpWord(), ops.OpWord(vee=True)))
-    s_mix = abs(alpha) * norm(u) + abs(beta) * norm(v)
+    a, b = alpha[:, None], beta[:, None]
+    mixed = ops._word_values(u1, u2, a * u + b * v, (ops.OpWord(), ops.OpWord(vee=True)))
+    s_mix = np.abs(alpha) * _norm(u) + np.abs(beta) * _norm(v)
     ch.add("linearity",
-           _row_norm(mixed - (alpha * values_u[[0, 4]] + beta * values_v[[0, 4]])), s_op * s_mix)
+           _norm(mixed - (a * values_u[[0, 4]] + b * values_v[[0, 4]])), s_op * s_mix)
 
     comps2 = ops._components(values_u[:4])
     comps3 = ops._components(values_u)
 
     # two-operation components against the triple products
-    ch.add("component2_anticommutator",
-           _row_norm(comps2[0] - tp.anticommutator3(u1, u, u2).coeffs), s)
-    ch.add("component2_commutator", _row_norm(comps2[3] - tp.commutator3(u1, u, u2).coeffs), s)
-    ch.add("component2_associator", _row_norm(comps2[1] - tp.associator3(u1, u, u2).coeffs), s)
-    ch.add("component2_vanishing", _row_norm(comps2[2]), s)
+    ch.add("component2_anticommutator", _norm(comps2[0] - tp._anticommutator3(u1, u, u2)), s)
+    ch.add("component2_commutator", _norm(comps2[3] - tp._commutator3(u1, u, u2)), s)
+    ch.add("component2_associator", _norm(comps2[1] - tp._associator3(u1, u, u2)), s)
+    ch.add("component2_vanishing", _norm(comps2[2]), s)
 
     # the transform is its own inverse up to n: it maps the components back to the values
-    ch.add("component2_reconstruction", _row_norm(hd.transform(comps2) - values_u[:4]), s)
+    ch.add("component2_reconstruction", _norm(hd.transform(comps2) - values_u[:4]), s)
 
     # three-operation components: reconstruction, telescoping, eigen-relations
-    ch.add("component3_sum", _row_norm(comps3.sum(axis=0) - values_u[0]), s)
-    ch.add("component3_public_api",
-           _row_norm(ops.component3(op, ops.ALL_SIGN_TRIPLES[0], u).coeffs - comps3[0]), s)
-    ch.add("component3_telescoping", _row_norm(comps3[:4] + comps3[4:] - comps2), s)
+    ch.add("component3_sum", _norm(comps3.sum(axis=0) - values_u[0]), s)
+    ch.add("component3_telescoping", _norm(comps3[:4] + comps3[4:] - comps2), s)
 
     eig = ops._eigen_residuals(values_u, values_v, u, v).max(axis=0)
     ch.add("component3_eigen_plus", eig[0], sv)
     ch.add("component3_eigen_star", eig[1], s)
     ch.add("component3_eigen_vee", eig[2], s)
     for signs, b_u in zip(ops.ALL_SIGN_TRIPLES, comps3):
-        ch.add(f"info:three_op_norm{signs.label}", _row_norm(b_u), s)
+        ch.add(f"info:three_op_norm{signs.label}", _norm(b_u), s)
 
 
-def _row_norm(rows: np.ndarray) -> float:
-    """Largest Euclidean norm along the last axis."""
-    return float(np.max(np.linalg.norm(rows, axis=-1)))
+def _operator_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u2, u, v = _hypers(dim, row[:4])
+    s_op = norm(u1) * norm(u2)
+    s = s_op * norm(u)
+    op = ops.TripleOperator(u1, u2)
+    ch.add("adjoint_pairing",
+           np.max([ops.adjoint_residual(op, u, v, w) for w in ops.ALL_WORDS]), s * norm(v))
+    diff = ops.materialize(op).T - ops.materialize(op, ops.OpWord(plus=True))
+    ch.add("adjoint_transpose", np.max(np.abs(diff)), s_op)
+    for name, signs, part in (("anticommutator", (1, 1), tp.anticommutator3),
+                              ("commutator", (-1, -1), tp.commutator3),
+                              ("associator", (-1, 1), tp.associator3)):
+        ch.add(f"component2_{name}", norm(ops.component2(op, *signs, u) - part(u1, u, u2)), s)
+    ch.add("component2_vanishing", norm(ops.component2(op, 1, -1, u)), s)
+    # the first component against its definition: the mean of the eight word values
+    mean = sum((ops.apply(op, w, u) for w in ops.ALL_WORDS), Hyper.zero(dim)) / 8
+    ch.add("component3_public_api", norm(ops.component3(op, ops.ALL_SIGN_TRIPLES[0], u) - mean), s)
+    for signs in ops.ALL_SIGN_TRIPLES:
+        r_plus, r_star, r_vee = ops.component3_eigen_residuals(op, signs, u, v)
+        ch.add("component3_eigen_plus", r_plus, s * norm(v))
+        ch.add("component3_eigen_star", r_star, s)
+        ch.add("component3_eigen_vee", r_vee, s)
 
 
 def _operator_details(ch: Channels) -> dict:
@@ -445,12 +550,25 @@ def _hadamard_suite(ch: Channels) -> None:
 # -- suite: convention bridge -------------------------------------------------
 
 
-def _bridge_suite(dim: int, rng: np.random.Generator, ch: Channels) -> None:
-    u1, u, u2 = _draw(rng, dim, 3)
-    s = norm(u1) * norm(u) * norm(u2)
-    si = max(norm(imaginary_part(u1)) * norm(imaginary_part(u)) * norm(imaginary_part(u2)),
-             1e-30)
+def _bridge_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2 = draws
+    s = _norm(u1) * _norm(u) * _norm(u2)
+    si = np.maximum(_norm(u1[:, 1:]) * _norm(u[:, 1:]) * _norm(u2[:, 1:]), 1e-30)
 
+    ch.add("okubo_reconstruction", br._okubo_reconstruction_residual(u1, u, u2), s)
+    ch.add("okubo_bracket_display", br._okubo_bracket_display_residual(u1, u, u2), s)
+    ch.add("dray_manogue_decomposition", br._dray_manogue_residual(u1, u, u2), s)
+    ch.add("dray_manogue_antisymmetry",
+           _norm(br._dray_manogue_cross(u1, u, u2) + br._dray_manogue_cross(u2, u, u1)), s)
+    ch.add("info:bac_cab_printed", br._bac_cab_residual(u1, u, u2), si)
+    ch.add("info:bac_cab_flipped", br._bac_cab_residual(u1, u, u2, flip_sign=True), si)
+
+
+def _bridge_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2 = _hypers(dim, row)
+    s = norm(u1) * norm(u) * norm(u2)
+    si = np.maximum(norm(imaginary_part(u1)) * norm(imaginary_part(u)) * norm(imaginary_part(u2)),
+                    1e-30)
     ch.add("okubo_reconstruction", br.okubo_reconstruction_residual(u1, u, u2), s)
     ch.add("okubo_bracket_display", br.okubo_bracket_display_residual(u1, u, u2), s)
     ch.add("dray_manogue_decomposition", br.dray_manogue_residual(u1, u, u2), s)
@@ -476,35 +594,62 @@ def _bridge_details(ch: Channels) -> dict:
 @dataclass(frozen=True)
 class _Suite:
     name: str
-    per_trial: Callable | None = None
+    per_trial: Callable | None = None   # (dim, block draws, ch)
+    public: Callable | None = None      # (dim, trial 0's draws, ch)
     once: Callable | None = None
     postprocess: Callable | None = None
+    vectors: int = 0   # vectors each trial draws, then
+    scalars: int = 0   # scalars it draws after them
 
 
 _SUITES = (
-    _Suite("core", per_trial=_core_suite),
-    _Suite("decomposition", per_trial=_decomposition_suite),
-    _Suite("lengths", per_trial=_lengths_suite),
-    _Suite("operator", per_trial=_operator_suite, postprocess=_operator_details),
+    _Suite("core", per_trial=_core_suite, public=_core_public, vectors=3),
+    _Suite("decomposition", per_trial=_decomposition_suite, public=_decomposition_public,
+           vectors=4),
+    _Suite("lengths", per_trial=_lengths_suite, public=_lengths_public, vectors=3),
+    _Suite("operator", per_trial=_operator_suite, public=_operator_public,
+           postprocess=_operator_details, vectors=4, scalars=2),
     _Suite("hadamard", once=_hadamard_suite),
-    _Suite("bridge", per_trial=_bridge_suite, postprocess=_bridge_details),
+    _Suite("bridge", per_trial=_bridge_suite, public=_bridge_public,
+           postprocess=_bridge_details, vectors=3),
 )
 
 SUITE_INDEX = {s.name: i for i, s in enumerate(_SUITES)}
 SUITE_NAMES = tuple(s.name for s in _SUITES)
 
 
+def _draw_block(suite: _Suite, config: RunConfig, dim: int,
+                start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The draws of trials start..stop-1: `suite.vectors` blocks of shape
+    (stop - start, dim), then a (stop - start, suite.scalars) block if the
+    suite draws scalars.
+
+    Row r is what trial start + r's own generator yields when the trial
+    draws its vectors and then its scalars one by one, so any row can be
+    replayed alone from its key.
+    """
+    idx = SUITE_INDEX[suite.name]
+    rows = np.empty((stop - start, suite.vectors * dim + suite.scalars))
+    for r, t in enumerate(range(start, stop)):
+        trial_generator(config.seed, idx, t).standard_normal(out=rows[r])
+    vectors = rows[:, :suite.vectors * dim].reshape(stop - start, suite.vectors, dim)
+    blocks = tuple(np.ascontiguousarray(vectors[:, i]) for i in range(suite.vectors))
+    return blocks + (rows[:, suite.vectors * dim:],) if suite.scalars else blocks
+
+
 def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport:
     ch = Channels(config.tolerance)
-    idx = SUITE_INDEX[suite.name]
     if suite.once is not None:
         suite.once(ch)
         trials = 1
         bar = 0.0
     else:
-        for t in range(config.trials):
-            rng = trial_generator(config.seed, idx, t)
-            suite.per_trial(dim, rng, ch)
+        for start in range(0, config.trials, _BLOCK_ROWS):
+            draws = _draw_block(suite, config, dim, start,
+                                min(start + _BLOCK_ROWS, config.trials))
+            suite.per_trial(dim, draws, ch)
+            if start == 0 and suite.public is not None:
+                suite.public(dim, tuple(block[0] for block in draws), ch)
         trials = config.trials
         bar = config.tolerance.rel
     details: dict[str, object] = {}

@@ -1,0 +1,91 @@
+"""Each public Hyper function against its array form, row by row.
+
+The verify suites call the array forms on (trials, dim) blocks; the public
+functions call them on single vectors.  Block rows may differ from the
+single-vector result in the last bits (a batched matmul sums in its own
+order), so rows are compared within a bound set from float64 epsilon and
+the function's degree in its arguments.
+"""
+
+import numpy as np
+import pytest
+
+from octotriple import bridge, core, operators, triple
+from octotriple.core import Hyper
+
+RNG = np.random.default_rng(5150)
+ROWS = 16
+# |error| <= 64 eps * (product of argument norms)^power
+BOUND = 64 * np.finfo(float).eps
+
+# (public function, its array form, arguments, degree of the result in the
+# product of argument norms)
+CASES = [
+    (core.conjugate, core._conjugate, 1, 1),
+    (core.inner, core._inner, 2, 1),
+    (core.norm_sq, core._norm_sq, 1, 2),
+    (core.imaginary_part, core._imaginary_part, 1, 1),
+    (core.spacetime_interval, core._spacetime_interval, 1, 2),
+    (triple.cross2, triple._cross2, 2, 1),
+    (triple.pair_product_expansion, triple._pair_product_expansion, 2, 1),
+    *((getattr(triple, name), getattr(triple, "_" + name), 3, 1) for name in (
+        "anticommutator3", "anticommutator3_alt", "anticommutator3_closed",
+        "associator3", "associator3_alt", "commutator3", "commutator3_alt",
+        "commutator3_closed")),
+    *((getattr(triple, name), getattr(triple, "_" + name), 3, 2) for name in (
+        "anticommutator3_norm_sq", "commutator3_norm_sq", "associator3_norm_sq",
+        "anticommutative_component_norm_sq")),
+    *((getattr(bridge, name), getattr(bridge, "_" + name), 3, 1) for name in (
+        "bac_cab_residual", "okubo_reconstruction_residual", "okubo_bracket",
+        "okubo_bracket_display_residual", "dray_manogue_cross", "dray_manogue_residual")),
+]
+
+
+def _as_array(result):
+    return result.coeffs if isinstance(result, Hyper) else np.asarray(result)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+@pytest.mark.parametrize("public, array_form, arity, power", CASES,
+                         ids=[c[0].__name__ for c in CASES])
+def test_block_rows_match_the_public_function(public, array_form, arity, power, dim):
+    blocks = RNG.standard_normal((arity, ROWS, dim))
+    got = array_form(*blocks)
+    for t in range(ROWS):
+        want = _as_array(public(*(Hyper(dim, b[t]) for b in blocks)))
+        scale = np.prod([np.linalg.norm(b[t]) for b in blocks]) ** power
+        np.testing.assert_allclose(got[t], want, rtol=0, atol=BOUND * scale)
+
+
+@pytest.mark.parametrize("dim", (4, 8))
+def test_block_rows_match_decompose_gram_and_operators(dim):
+    u1, u, u2, v = RNG.standard_normal((4, ROWS, dim))
+    anti, comm, assoc, residual = triple._decompose_triple(u1, u, u2)
+    lhs, rhs = triple._gram_det_imaginary_identity(u1, u, u2)
+    grams = triple._gram(u1, u, u2), triple._gram_imaginary(u1, u, u2)
+    mats = operators._materialize(u1, u2, operators.OpWord(plus=True, vee=True))
+    eig = operators._eigen_residuals(operators._word_values(u1, u2, u),
+                                     operators._word_values(u1, u2, v), u, v)
+    for t in range(ROWS):
+        h1, h, h2, hv = (Hyper(dim, x[t]) for x in (u1, u, u2, v))
+        scale = np.linalg.norm(u1[t]) * np.linalg.norm(u[t]) * np.linalg.norm(u2[t])
+        atol = BOUND * scale
+        d = triple.decompose_triple(h1, h, h2)
+        for block, part in ((anti, d.anti), (comm, d.comm), (assoc, d.assoc)):
+            np.testing.assert_allclose(block[t], part.coeffs, rtol=0, atol=atol)
+        assert residual[t] <= atol and d.residual <= atol
+        np.testing.assert_allclose((lhs[t], rhs[t]),
+                                   triple.gram_det_imaginary_identity(h1, h, h2),
+                                   rtol=0, atol=BOUND * scale ** 2)
+        np.testing.assert_allclose(grams[0][t], triple.gram(h1, h, h2).entries,
+                                   rtol=0, atol=BOUND * scale)
+        np.testing.assert_allclose(grams[1][t], triple.gram_imaginary(h1, h, h2).entries,
+                                   rtol=0, atol=BOUND * scale)
+        op = operators.TripleOperator(h1, h2)
+        np.testing.assert_allclose(
+            mats[t], operators.materialize(op, operators.OpWord(plus=True, vee=True)),
+            rtol=0, atol=atol)
+        for g, signs in enumerate(operators.ALL_SIGN_TRIPLES):
+            np.testing.assert_allclose(
+                eig[g, :, t], operators.component3_eigen_residuals(op, signs, h, hv),
+                rtol=0, atol=atol * np.linalg.norm(v[t]))

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import octotriple.verify as verify
 from octotriple.core import Tolerance
 from octotriple.verify import (
     Channels,
@@ -114,11 +115,11 @@ def test_channels_keep_nan_after_finite_value():
 
 
 def test_nan_residual_fails_the_suite():
-    residuals = iter((1e-20, float("nan"), 0.0))
+    residuals = np.array((1e-20, float("nan"), 0.0))   # one per trial
 
-    def per_trial(dim, rng, ch):
-        ch.add("probe", next(residuals), 1.0)
-        ch.add("steady", 1e-20, 1.0)
+    def per_trial(dim, draws, ch):
+        ch.add("probe", residuals, 1.0)
+        ch.add("steady", np.full(3, 1e-20), 1.0)
 
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -132,6 +133,115 @@ def test_nan_residual_fails_the_suite():
     assert obj["pass"] is False
     assert obj["max_residual"] is None
     assert obj["details"]["channels"] == {"probe": None, "steady": rep.details["channels"]["steady"]}
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_nan_in_a_later_term_of_a_combined_channel_fails_the_suite(monkeypatch):
+    # unit_law is the larger of |i0 u - u| and |u i0 - u|: poison one trial's
+    # second product only, which Python's max(first, nan) would drop
+    def poisoned(a, b, product=verify._multiply):
+        out = product(a, b)
+        if b.ndim == 1 and b[0] == 1 and not b[1:].any():
+            out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "_multiply", poisoned)
+    (rep,) = run_all(RunConfig(seed=0, trials=5, dims=(4,)), suites=("core",))
+    assert not rep.passed
+    obj = json.loads(rep.to_json(), parse_constant=_reject_constant)
+    assert obj["pass"] is False
+    assert obj["max_residual"] is None
+    channels = obj["details"]["channels"]
+    assert channels["unit_law"] is None
+    assert all(v is not None for k, v in channels.items() if k != "unit_law")
+
+
+# vectors, then scalars, that one trial of each per-trial suite draws
+_DRAWS = {"core": (3, 0), "decomposition": (4, 0), "lengths": (3, 0),
+          "operator": (4, 2), "bridge": (3, 0)}
+
+
+@pytest.mark.parametrize("dim", (4, 8))
+@pytest.mark.parametrize("name", sorted(_DRAWS))
+def test_block_row_t_is_trial_t_drawn_alone(name, dim):
+    suite = next(s for s in verify._SUITES if s.name == name)
+    assert (suite.vectors, suite.scalars) == _DRAWS[name]
+    config = RunConfig(seed=42, trials=9)
+    block = verify._draw_block(suite, config, dim, 3, 9)
+    assert len(block) == suite.vectors + (suite.scalars > 0)
+    for r, t in enumerate(range(3, 9)):
+        rng = trial_generator(42, SUITE_INDEX[name], t)
+        for i in range(suite.vectors):
+            np.testing.assert_array_equal(block[i][r], rng.standard_normal(dim))
+        if suite.scalars:   # the operator suite's trailing alpha, beta
+            np.testing.assert_array_equal(block[-1][r], rng.standard_normal(suite.scalars))
+
+
+def test_blocks_of_any_size_give_the_same_reports(monkeypatch):
+    # trial 0 runs through the public API once, in the first block, so the
+    # maxima over blocks of 7, 7, 7 and 4 rows are those over one block of 25
+    config = RunConfig(seed=7, trials=25, dims=(4, 8))
+    whole = run_all(config)
+    monkeypatch.setattr(verify, "_BLOCK_ROWS", 7)
+    assert run_all(config) == whole
+
+
+_CORE = {"conjugation_formula", "conjugation_involution", "flexibility", "imaginary_part",
+         "inner_half_sum", "norm_multiplicativity", "norm_sq_as_product", "product_reversal",
+         "sandwich", "spacetime_interval", "trace_invariance", "transfer_rule", "unit_law"}
+_DECOMPOSITION = {
+    "antisymmetry", "associator_argument_orthogonality", "associator_cancellation",
+    "associator_extended_orthogonality", "closed_forms", "commutator_argument_orthogonality",
+    "cross2_antisymmetry", "cross2_orthogonal_to_unit", "cross2_unit", "degenerate_pair",
+    "half_form_agreement", "mixed_product_anticommutativity", "orthogonality",
+    "pair_product_expansion", "parts_match_operations", "reconstruction", "stored_residual",
+    "unit_center_reduction"}
+_LENGTHS = {"anticommutative_component", "anticommutator_length", "associator_length",
+            "commutator_length", "gram_half_difference", "gram_positive_semidefinite",
+            "length_sum", "product_norm_multiplicativity"}
+_OPERATOR = {
+    "adjoint_pairing", "adjoint_transpose", "component2_anticommutator",
+    "component2_associator", "component2_commutator", "component2_reconstruction",
+    "component2_vanishing", "component3_eigen_plus", "component3_eigen_star",
+    "component3_eigen_vee", "component3_public_api", "component3_sum",
+    "component3_telescoping", "linearity", "tabulated_closed_forms",
+    *(f"info:three_op_norm({a},{b},{c})"
+      for a in ("+1", "-1") for b in ("+1", "-1") for c in ("+1", "-1"))}
+_HADAMARD = {
+    "a4_printed", "a4_row_fixing_permutations", "a4_swap_column_order", "a8_row_ab",
+    "asymmetric_count", "automorphism_count", "automorphisms_preserve_columns",
+    "group_closure", "group_inverse", "identity_included", "inverse_up_to_factor",
+    "normalized", "row_group", "row_group_detects_flip", "symmetric", "symmetric_count"}
+_BRIDGE = {"bac_cab", "dray_manogue_antisymmetry", "dray_manogue_decomposition",
+           "info:bac_cab_flipped", "info:bac_cab_printed", "okubo_bracket_display",
+           "okubo_reconstruction"}
+CHANNELS = {
+    ("core", 4): _CORE | {"associativity"},
+    ("core", 8): _CORE,
+    ("decomposition", 4): _DECOMPOSITION | {"associator_zero_low_dim", "cross2_matches_3d_cross"},
+    ("decomposition", 8): _DECOMPOSITION,
+    ("lengths", 4): _LENGTHS,
+    ("lengths", 8): _LENGTHS,
+    ("operator", 4): _OPERATOR,
+    ("operator", 8): _OPERATOR,
+    ("hadamard", 8): _HADAMARD,
+    ("bridge", 4): _BRIDGE,
+    ("bridge", 8): _BRIDGE,
+}
+
+
+def test_every_suite_reports_its_pinned_channels():
+    reports = run_all(RunConfig(seed=7, trials=25, dims=(4, 8)))
+    assert {(r.suite, r.dim): set(r.details["channels"]) for r in reports} == CHANNELS
+
+
+def test_run_all_passes_at_200_trials():
+    reports = run_all(RunConfig(seed=42, trials=200, dims=(4, 8)))
+    assert len(reports) == 11
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("suites", (("nope",), ("core", "nope"), (), "core", "nope"),

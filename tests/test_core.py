@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from octotriple.core import (
     Hyper,
     Tolerance,
     VALID_DIMS,
+    _multiply,
     conjugate,
     embed,
     imaginary_part,
@@ -122,6 +124,30 @@ def test_random_products_match_oracle():
             expected = [float(x) for x in omul(ovec(a), ovec(b))]
             got = multiply(Hyper(dim, a.astype(float)), Hyper(dim, b.astype(float)))
             np.testing.assert_array_equal(got.coeffs, expected)
+
+
+@pytest.mark.parametrize("rows", (1, 40))
+@pytest.mark.parametrize("dim", VALID_DIMS)
+def test_block_product_matches_scalar_multiply_and_oracle(dim, rows):
+    # integer coefficients: every row must equal the scalar product and the oracle exactly
+    a = RNG.integers(-5, 6, size=(rows, dim)).astype(float)
+    b = RNG.integers(-5, 6, size=(rows, dim)).astype(float)
+    got = _multiply(a, b)
+    assert got.shape == (rows, dim)
+    for t in range(rows):
+        np.testing.assert_array_equal(got[t], multiply(Hyper(dim, a[t]), Hyper(dim, b[t])).coeffs)
+        np.testing.assert_array_equal(got[t], [float(x) for x in omul(ovec(a[t]), ovec(b[t]))])
+    # normal coefficients: each entry is a signed sum of dim rounded products,
+    # so it is within dim * eps * |a| |b| of the exact value
+    a = RNG.standard_normal((rows, dim))
+    b = RNG.standard_normal((rows, dim))
+    got = _multiply(a, b)
+    for t in range(rows):
+        bound = dim * np.finfo(float).eps * np.linalg.norm(a[t]) * np.linalg.norm(b[t])
+        scalar = multiply(Hyper(dim, a[t]), Hyper(dim, b[t])).coeffs
+        assert np.max(np.abs(got[t] - scalar)) <= bound
+        exact = omul(ovec(a[t]), ovec(b[t]))
+        assert max(abs(Fraction(x) - e) for x, e in zip(got[t], exact)) <= bound
 
 
 def test_unit_law_random():
