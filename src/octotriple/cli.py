@@ -69,7 +69,7 @@ def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
         text = path.read_text()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer literal over the digit limit
         parser.error(f"malformed JSON input: {exc}")
     try:
         if isinstance(obj, dict):
@@ -111,11 +111,11 @@ def _cmd_decompose(args, parser) -> int:
 
 
 def _cmd_hadamard(args, parser) -> int:
+    if args.perms and args.order != 8:
+        parser.error("--perms requires order 8")
     m = build(args.order)
     print(m.render())
     if args.perms:
-        if args.order != 8:
-            parser.error("--perms requires order 8")
         perms = doubling_order_permutations(m)
         sym, asym = classify_symmetry(perms, m)
         print(f"automorphism perms: {len(perms)}, symmetric: {sym}, asymmetric: {asym}")

@@ -9,9 +9,14 @@ Cayley-Dickson rule
 applied recursively from the reals.  Under this convention the quaternion
 block satisfies i1*i2 == i3, i2*i1 == -i3.  Since i_i * i_j = +-i_{i xor j},
 every product is one XOR-indexed kernel, (a*b)[k] = sum_i s[i, k] a[i] b[i xor k],
-with the index and sign tables built once per dimension.  The same kernel
-multiplies whole (trials, dim) blocks of coefficient vectors at once; the
-Hyper functions are thin wrappers over these array forms.
+with the index and sign tables built once per dimension.
+
+Each identity is computed once, by an array form `_name` over float64
+coefficient arrays whose last axis is the basis index, so the same code
+takes one vector or a whole (trials, dim) block.  The public Hyper function
+`name` is that array form lifted by `_lift`, here and in `triple` and
+`bridge`; only functions whose result has a type of its own are written
+out by hand.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 import numpy as np
 
@@ -81,7 +86,11 @@ class Hyper:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
-        arr = np.array(self.coeffs, dtype=np.float64)
+        try:
+            arr = np.array(self.coeffs, dtype=np.float64)
+        except OverflowError:
+            raise ValueError("coeffs must be finite, got an integer beyond the "
+                             "float range") from None
         if arr.shape != (self.dim,):
             raise ValueError(
                 f"coeffs must be a flat vector of {self.dim} entries, got shape {arr.shape}"
@@ -183,7 +192,12 @@ class Hyper:
         for k, x in enumerate(coeffs):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ValueError(f"field 'coeffs[{k}]' must be a number, got {x!r}")
-            if not math.isfinite(x):
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:
+                raise ValueError(f"field 'coeffs[{k}]' must be finite, got an integer "
+                                 "beyond the float range") from None
+            if not finite:
                 raise ValueError(f"field 'coeffs[{k}]' must be finite, got {x!r}")
         return cls(dim, np.asarray(coeffs, dtype=np.float64))
 
@@ -232,18 +246,15 @@ def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return xor, sign
 
 
-# -- array forms -------------------------------------------------------------
-#
-# `_name` is the array form of the Hyper function `name`: it takes float64
-# coefficient arrays whose last axis is the basis index, so a (trials, dim)
-# block holds one value per row, and leading axes broadcast.  The Hyper
-# functions below check dimensions and wrap the array forms.
+# -- array forms and their lift ---------------------------------------------
 
 
 def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product over the last axis.  Two vectors take one gather of b by the XOR
-    table, one product with the sign table and one vector-matrix product;
-    blocks take the same gather of b[..., xor] and one batched matmul."""
+    """Bilinear product under the pinned doubling rule.
+
+    Two vectors take one gather of b by the XOR table, one product with the
+    sign table and one vector-matrix product; blocks take the same gather of
+    b[..., xor] and one batched matmul."""
     xor, sign = _product_tables(a.shape[-1])
     if a.ndim == 1 and b.ndim == 1:
         return a @ (sign * b[xor])
@@ -251,40 +262,63 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conjugate(x: np.ndarray) -> np.ndarray:
+    """Negate the imaginary coefficients, keep the real one."""
     out = -x
     out[..., 0] = x[..., 0]
     return out
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean inner product of the coefficient vectors."""
     if x.ndim == 1 and y.ndim == 1:
         return np.dot(x, y)
     return np.einsum("...i,...i->...", x, y)
 
 
 def _norm_sq(x: np.ndarray) -> np.ndarray:
+    """Squared length (u, u)."""
     return _inner(x, x)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
+    """Length sqrt((u, u))."""
     return np.sqrt(_norm_sq(x))
 
 
 def _imaginary_part(x: np.ndarray) -> np.ndarray:
+    """u with its real component annulled: u - (u, i0) i0."""
     out = x.copy()
     out[..., 0] = 0.0
     return out
 
 
 def _spacetime_interval(x: np.ndarray) -> np.ndarray:
+    """The bilinear quantity (u, conj(u)) = 2 (u, i0)^2 - (u, u)."""
     return 2.0 * x[..., 0] * x[..., 0] - _norm_sq(x)
 
 
-def _coeffs(*values: Hyper) -> tuple[np.ndarray, ...]:
+def _coeffs(*values: Hyper) -> list[np.ndarray]:
     """Coefficient vectors of Hyper values that must share one dimension."""
     for v in values[1:]:
-        _check_same_dim(values[0], v)
-    return tuple(v.coeffs for v in values)
+        if v.dim != values[0].dim:   # compared inline: this runs on every public call
+            _check_same_dim(values[0], v)
+    return [v.coeffs for v in values]
+
+
+def _lift(array_form):
+    """The Hyper function `name` of the array form `_name`.
+
+    It checks that its Hyper arguments share a dimension, calls the array
+    form on their coefficient vectors (keyword arguments pass through), and
+    returns a Hyper for a vector result and a float for a 0-d one.
+    """
+    def public(*args: Hyper, **kwargs):
+        out = array_form(*_coeffs(*args), **kwargs)
+        return float(out) if out.ndim == 0 else Hyper._wrap(args[0].dim, out)
+
+    update_wrapper(public, array_form)
+    public.__name__ = public.__qualname__ = array_form.__name__[1:]
+    return public
 
 
 # -- operations --------------------------------------------------------------
@@ -295,44 +329,18 @@ def unit(dim: int) -> Hyper:
     return Hyper.basis(dim, 0)
 
 
-def multiply(a: Hyper, b: Hyper) -> Hyper:
-    """Bilinear product under the pinned doubling rule (see `_multiply`)."""
-    _check_same_dim(a, b)
-    return Hyper._wrap(a.dim, _multiply(a.coeffs, b.coeffs))
-
-
-def conjugate(u: Hyper) -> Hyper:
-    """Negate the imaginary coefficients, keep the real one."""
-    return Hyper._wrap(u.dim, _conjugate(u.coeffs))
-
-
-def inner(u1: Hyper, u2: Hyper) -> float:
-    """Euclidean inner product of the coefficient vectors."""
-    return float(_inner(*_coeffs(u1, u2)))
-
-
-def norm_sq(u: Hyper) -> float:
-    """Squared length (u, u)."""
-    return float(_norm_sq(u.coeffs))
-
-
-def norm(u: Hyper) -> float:
-    return math.sqrt(norm_sq(u))
+multiply = _lift(_multiply)
+conjugate = _lift(_conjugate)
+inner = _lift(_inner)
+norm_sq = _lift(_norm_sq)
+norm = _lift(_norm)
+imaginary_part = _lift(_imaginary_part)
+spacetime_interval = _lift(_spacetime_interval)
 
 
 def scalar_part(u: Hyper) -> float:
     """Coefficient of i0, i.e. (u, i0)."""
     return float(u.coeffs[0])
-
-
-def imaginary_part(u: Hyper) -> Hyper:
-    """u with its real component annulled: u - (u, i0) i0."""
-    return Hyper._wrap(u.dim, _imaginary_part(u.coeffs))
-
-
-def spacetime_interval(u: Hyper) -> float:
-    """The bilinear quantity (u, conj(u)) = 2 (u, i0)^2 - (u, u)."""
-    return float(_spacetime_interval(u.coeffs))
 
 
 def embed(u: Hyper, dim: int) -> Hyper:

@@ -30,7 +30,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DimensionError, Hyper, _coeffs, _conjugate, _inner, _multiply, _norm, inner
+from .core import Hyper, _check_same_dim, _coeffs, _conjugate, _inner, _multiply, _norm, inner
 # `multiply` stays bound in this module as it was before the array forms: the
 # benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
 # package that binds it.
@@ -177,10 +177,7 @@ class TripleOperator:
     u2: Hyper
 
     def __post_init__(self) -> None:
-        if self.u1.dim != self.u2.dim:
-            raise DimensionError(
-                f"operator parameters must share a dimension: {self.u1.dim} != {self.u2.dim}"
-            )
+        _check_same_dim(self.u1, self.u2)
 
     @property
     def dim(self) -> int:
@@ -203,9 +200,8 @@ def _apply(u1: np.ndarray, u2: np.ndarray, word: OpWord, u: np.ndarray) -> np.nd
 
 def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
     """Evaluate the word-transformed operator at u."""
-    if u.dim != op.dim:
-        raise DimensionError(f"dimension mismatch: operand {u.dim} vs operator {op.dim}")
-    return Hyper._wrap(op.dim, _apply(op.u1.coeffs, op.u2.coeffs, word, u.coeffs))
+    u1, u2, x = _coeffs(op.u1, op.u2, u)
+    return Hyper._wrap(op.dim, _apply(u1, u2, word, x))
 
 
 def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
@@ -244,10 +240,6 @@ def _components(values: np.ndarray) -> np.ndarray:
     return transform(values / len(values))
 
 
-def _component3(u1: np.ndarray, u2: np.ndarray, signs: SignTriple, u: np.ndarray) -> np.ndarray:
-    return _components(_word_values(u1, u2, u))[ALL_SIGN_TRIPLES.index(signs)]
-
-
 def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hyper:
     """Average over {e, +, *, +*} with signs eps_+^a eps_*^b.
 
@@ -261,8 +253,8 @@ def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hy
 
 def component3(op: TripleOperator, signs: SignTriple, u: Hyper) -> Hyper:
     """Average over all eight words with signs eps_+^a eps_*^b eps_v^c."""
-    u1, u2, x = _coeffs(op.u1, op.u2, u)
-    return Hyper._wrap(op.dim, _component3(u1, u2, signs, x))
+    row = ALL_SIGN_TRIPLES.index(signs)
+    return Hyper._wrap(op.dim, _components(_word_values(*_coeffs(op.u1, op.u2, u)))[row])
 
 
 def _eigen_residuals(values_u: np.ndarray, values_v: np.ndarray,

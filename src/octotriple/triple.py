@@ -17,6 +17,10 @@ Sylvester matrix on one pair of these columns, halved; the complementary
 pair (the `_alt` form) agrees, which is itself a verified identity.
 Closed forms express the anticommutator as a linear combination of the
 arguments and the commutator via pair cross products.
+
+The parts, `cross2`, `pair_product_expansion` and the closed-form lengths
+are their array forms lifted by `core._lift`; `decompose_triple`, the Gram
+functions and `det3` return types of their own and are written out.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .core import (
     _coeffs,
     _conjugate,
     _inner,
+    _lift,
     _multiply,
     _norm,
     _norm_sq,
@@ -42,33 +47,25 @@ from .core import multiply  # noqa: F401
 from .hadamard import build
 from .operators import TWO_OP_WORDS, _components, _word_values
 
-# Each function below has an array form `_name` over coefficient arrays whose
-# last axis is the basis index (see `core`); the public function checks that
-# its Hyper arguments share a dimension and wraps the array form.
-
 
 def _cross2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pair cross product: half the commutator (u1 u2 - u2 u1) / 2."""
     return (_multiply(x, y) - _multiply(y, x)) / 2
 
 
-def cross2(u1: Hyper, u2: Hyper) -> Hyper:
-    """Pair cross product: half the commutator (u1 u2 - u2 u1) / 2."""
-    return Hyper._wrap(u1.dim, _cross2(*_coeffs(u1, u2)))
-
-
 def _pair_product_expansion(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x[..., :1] * y + y[..., :1] * x
-    out[..., 0] -= _inner(x, y)
-    return out + _cross2(x, y)
-
-
-def pair_product_expansion(u1: Hyper, u2: Hyper) -> Hyper:
     """u1 u2 rebuilt from scalar parts, the inner product and cross2.
 
     Returns (u1,i0) u2 + (u2,i0) u1 - (u1,u2) i0 + [u1,u2]; always equal to
     multiply(u1, u2).
     """
-    return Hyper._wrap(u1.dim, _pair_product_expansion(*_coeffs(u1, u2)))
+    out = x[..., :1] * y + y[..., :1] * x
+    out[..., 0] -= _inner(x, y)
+    return out + _cross2(x, y)
+
+
+cross2 = _lift(_cross2)
+pair_product_expansion = _lift(_pair_product_expansion)
 
 
 # -- the three parts ---------------------------------------------------------
@@ -85,70 +82,46 @@ def _half_sum(u1: np.ndarray, u: np.ndarray, u2: np.ndarray,
 
 
 def _anticommutator3(u1, u, u2):
+    """{u1, u, u2} = ((u1 ub) u2 + (u2 ub) u1) / 2, ub = conj(u)."""
     return _half_sum(u1, u, u2, 0, (0, 1))
 
 
-def anticommutator3(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """{u1, u, u2} = ((u1 ub) u2 + (u2 ub) u1) / 2, ub = conj(u)."""
-    return Hyper._wrap(u1.dim, _anticommutator3(*_coeffs(u1, u, u2)))
-
-
 def _anticommutator3_alt(u1, u, u2):
+    """Second half-sum form: (u1 (ub u2) + u2 (ub u1)) / 2."""
     return _half_sum(u1, u, u2, 0, (2, 3))
 
 
-def anticommutator3_alt(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """Second half-sum form: (u1 (ub u2) + u2 (ub u1)) / 2."""
-    return Hyper._wrap(u1.dim, _anticommutator3_alt(*_coeffs(u1, u, u2)))
-
-
 def _anticommutator3_closed(u1, u, u2):
+    """Closed form: (u1,u) u2 - (u1,u2) u + (u,u2) u1."""
     return (_inner(u1, u)[..., None] * u2 - _inner(u1, u2)[..., None] * u
             + _inner(u, u2)[..., None] * u1)
 
 
-def anticommutator3_closed(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """Closed form: (u1,u) u2 - (u1,u2) u + (u,u2) u1."""
-    return Hyper._wrap(u1.dim, _anticommutator3_closed(*_coeffs(u1, u, u2)))
-
-
 def _associator3(u1, u, u2):
+    """<u1, u, u2> = ((u1 ub) u2 - u1 (ub u2)) / 2; zero for dim <= 4."""
     return _half_sum(u1, u, u2, 1, (0, 3))
 
 
-def associator3(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """<u1, u, u2> = ((u1 ub) u2 - u1 (ub u2)) / 2; zero for dim <= 4."""
-    return Hyper._wrap(u1.dim, _associator3(*_coeffs(u1, u, u2)))
-
-
 def _associator3_alt(u1, u, u2):
+    """Second half-sum form: (u2 (ub u1) - (u2 ub) u1) / 2."""
     return _half_sum(u1, u, u2, 1, (1, 2))
 
 
-def associator3_alt(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """Second half-sum form: (u2 (ub u1) - (u2 ub) u1) / 2."""
-    return Hyper._wrap(u1.dim, _associator3_alt(*_coeffs(u1, u, u2)))
-
-
 def _commutator3(u1, u, u2):
+    """[u1, u, u2] = ((u1 ub) u2 - u2 (ub u1)) / 2, the triple cross product."""
     return _half_sum(u1, u, u2, 3, (0, 2))
 
 
-def commutator3(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """[u1, u, u2] = ((u1 ub) u2 - u2 (ub u1)) / 2, the triple cross product."""
-    return Hyper._wrap(u1.dim, _commutator3(*_coeffs(u1, u, u2)))
-
-
 def _commutator3_alt(u1, u, u2):
+    """Second half-difference form: (u1 (ub u2) - (u2 ub) u1) / 2."""
     return _half_sum(u1, u, u2, 3, (1, 3))
 
 
-def commutator3_alt(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """Second half-difference form: (u1 (ub u2) - (u2 ub) u1) / 2."""
-    return Hyper._wrap(u1.dim, _commutator3_alt(*_coeffs(u1, u, u2)))
-
-
 def _commutator3_closed(u1, u, u2):
+    """Closed form via pair cross products and the unit:
+
+    ([u1,u], u2) i0 - (u1,i0)[u,u2] + (u,i0)[u1,u2] - (u2,i0)[u1,u]
+    """
     c_u1_u = _cross2(u1, u)
     out = (u[..., :1] * _cross2(u1, u2) - u1[..., :1] * _cross2(u, u2)
            - u2[..., :1] * c_u1_u)
@@ -156,12 +129,14 @@ def _commutator3_closed(u1, u, u2):
     return out
 
 
-def commutator3_closed(u1: Hyper, u: Hyper, u2: Hyper) -> Hyper:
-    """Closed form via pair cross products and the unit:
-
-    ([u1,u], u2) i0 - (u1,i0)[u,u2] + (u,i0)[u1,u2] - (u2,i0)[u1,u]
-    """
-    return Hyper._wrap(u1.dim, _commutator3_closed(*_coeffs(u1, u, u2)))
+anticommutator3 = _lift(_anticommutator3)
+anticommutator3_alt = _lift(_anticommutator3_alt)
+anticommutator3_closed = _lift(_anticommutator3_closed)
+associator3 = _lift(_associator3)
+associator3_alt = _lift(_associator3_alt)
+commutator3 = _lift(_commutator3)
+commutator3_alt = _lift(_commutator3_alt)
+commutator3_closed = _lift(_commutator3_closed)
 
 
 # -- decomposition -----------------------------------------------------------
@@ -259,41 +234,31 @@ def gram_imaginary(u1: Hyper, u: Hyper, u2: Hyper) -> GramMatrix:
 
 
 def _anticommutator3_norm_sq(u1, u, u2):
+    """|{u1,u,u2}|^2 = |u1|^2 |u|^2 |u2|^2 - det(Gram)."""
     return _norm_sq(u1) * _norm_sq(u) * _norm_sq(u2) - _det3(_gram(u1, u, u2))
 
 
-def anticommutator3_norm_sq(u1: Hyper, u: Hyper, u2: Hyper) -> float:
-    """|{u1,u,u2}|^2 = |u1|^2 |u|^2 |u2|^2 - det(Gram)."""
-    return float(_anticommutator3_norm_sq(*_coeffs(u1, u, u2)))
-
-
 def _commutator3_norm_sq(u1, u, u2):
+    """|[u1,u,u2]|^2 = ([u1,u],u2)^2 + det(Gram) - det(Gram of imaginary parts)."""
     s = _inner(_cross2(u1, u), u2)
     return s * s + _det3(_gram(u1, u, u2)) - _det3(_gram_imaginary(u1, u, u2))
 
 
-def commutator3_norm_sq(u1: Hyper, u: Hyper, u2: Hyper) -> float:
-    """|[u1,u,u2]|^2 = ([u1,u],u2)^2 + det(Gram) - det(Gram of imaginary parts)."""
-    return float(_commutator3_norm_sq(*_coeffs(u1, u, u2)))
-
-
 def _associator3_norm_sq(u1, u, u2):
+    """|<u1,u,u2>|^2 = det(Gram of imaginary parts) - ([u1,u],u2)^2."""
     s = _inner(_cross2(u1, u), u2)
     return _det3(_gram_imaginary(u1, u, u2)) - s * s
 
 
-def associator3_norm_sq(u1: Hyper, u: Hyper, u2: Hyper) -> float:
-    """|<u1,u,u2>|^2 = det(Gram of imaginary parts) - ([u1,u],u2)^2."""
-    return float(_associator3_norm_sq(*_coeffs(u1, u, u2)))
-
-
 def _anticommutative_component_norm_sq(u1, u, u2):
+    """|[u1,u,u2] + <u1,u,u2>|^2 = det(Gram of the arguments)."""
     return _det3(_gram(u1, u, u2))
 
 
-def anticommutative_component_norm_sq(u1: Hyper, u: Hyper, u2: Hyper) -> float:
-    """|[u1,u,u2] + <u1,u,u2>|^2 = det(Gram of the arguments)."""
-    return float(_anticommutative_component_norm_sq(*_coeffs(u1, u, u2)))
+anticommutator3_norm_sq = _lift(_anticommutator3_norm_sq)
+commutator3_norm_sq = _lift(_commutator3_norm_sq)
+associator3_norm_sq = _lift(_associator3_norm_sq)
+anticommutative_component_norm_sq = _lift(_anticommutative_component_norm_sq)
 
 
 def _gram_det_imaginary_identity(u1, u, u2):

@@ -1,4 +1,5 @@
-"""Each public Hyper function against its array form, row by row.
+"""Each public Hyper function against its array form, row by row, and the
+dimension check and result type that `core._lift` adds around it.
 
 The verify suites call the array forms on (trials, dim) blocks; the public
 functions call them on single vectors.  Block rows may differ from the
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from octotriple import bridge, core, operators, triple
-from octotriple.core import Hyper
+from octotriple.core import DimensionError, Hyper
 
 RNG = np.random.default_rng(5150)
 ROWS = 16
@@ -21,9 +22,11 @@ BOUND = 64 * np.finfo(float).eps
 # (public function, its array form, arguments, degree of the result in the
 # product of argument norms)
 CASES = [
+    (core.multiply, core._multiply, 2, 1),
     (core.conjugate, core._conjugate, 1, 1),
     (core.inner, core._inner, 2, 1),
     (core.norm_sq, core._norm_sq, 1, 2),
+    (core.norm, core._norm, 1, 1),
     (core.imaginary_part, core._imaginary_part, 1, 1),
     (core.spacetime_interval, core._spacetime_interval, 1, 2),
     (triple.cross2, triple._cross2, 2, 1),
@@ -55,6 +58,22 @@ def test_block_rows_match_the_public_function(public, array_form, arity, power, 
         want = _as_array(public(*(Hyper(dim, b[t]) for b in blocks)))
         scale = np.prod([np.linalg.norm(b[t]) for b in blocks]) ** power
         np.testing.assert_allclose(got[t], want, rtol=0, atol=BOUND * scale)
+
+
+@pytest.mark.parametrize("public, array_form, arity, power", CASES,
+                         ids=[c[0].__name__ for c in CASES])
+def test_public_function_checks_dimensions_and_wraps_the_result(public, array_form, arity,
+                                                                power):
+    vectors = RNG.standard_normal((arity, 4))
+    args = [Hyper(4, x) for x in vectors]
+    for i in range(arity if arity > 1 else 0):   # one argument has no other to disagree with
+        with pytest.raises(DimensionError):
+            public(*args[:i], Hyper.zero(8), *args[i + 1:])
+    out = public(*args)
+    if np.ndim(array_form(*vectors)) == 1:
+        assert isinstance(out, Hyper) and out.dim == 4
+    else:
+        assert type(out) is float
 
 
 @pytest.mark.parametrize("dim", (4, 8))

@@ -1,10 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import octotriple.cli as cli
 import octotriple.verify as verify
 from octotriple.core import Tolerance
 from octotriple.verify import (
@@ -20,10 +23,25 @@ from octotriple.verify import (
 
 
 def run_cli(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "octotriple", *args],
-        capture_output=True, text=True, input=stdin,
-    )
+    """`octotriple *args` in this process: `cli.main` with stdin, stdout and
+    stderr swapped for strings, and argparse's exit turned into the code."""
+    out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
+    if stdin is not None:
+        sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
+    """`python -m octotriple *args` in a fresh process, for the entry point."""
+    return subprocess.run([sys.executable, "-m", "octotriple", *args],
+                          capture_output=True, text=True)
 
 
 # -- config validation -----------------------------------------------------------
@@ -288,15 +306,15 @@ def test_hadamard_details_report_exploratory_count():
 
 
 def test_cli_verify_small_run_passes():
-    res = run_cli("verify", "--seed", "42", "--trials", "20", "--dims", "4,8")
+    res = run_cli_process("verify", "--seed", "42", "--trials", "20", "--dims", "4,8")
     assert res.returncode == 0, res.stderr
     assert "PASS" in res.stdout
     assert "FAIL" not in res.stdout
 
 
 def test_cli_verify_json_is_byte_identical_for_same_seed():
-    a = run_cli("verify", "--seed", "5", "--trials", "10", "--dims", "8", "--json")
-    b = run_cli("verify", "--seed", "5", "--trials", "10", "--dims", "8", "--json")
+    a = run_cli_process("verify", "--seed", "5", "--trials", "10", "--dims", "8", "--json")
+    b = run_cli_process("verify", "--seed", "5", "--trials", "10", "--dims", "8", "--json")
     assert a.returncode == 0
     assert a.stdout == b.stdout
     for line in a.stdout.splitlines():
@@ -315,7 +333,7 @@ def test_cli_verify_rejects_zero_trials():
 
 
 def test_cli_verify_rejects_bad_dims():
-    res = run_cli("verify", "--dims", "3,4")
+    res = run_cli_process("verify", "--dims", "3,4")
     assert res.returncode == 2
 
 
@@ -405,6 +423,17 @@ def test_cli_decompose_overflow_exits_1_without_json():
     assert "overflows" in res.stderr
 
 
+@pytest.mark.parametrize("digits, fragment", ((400, "coeffs[0]"), (5000, "malformed JSON")),
+                         ids=("beyond_float_range", "beyond_int_digit_limit"))
+def test_cli_decompose_rejects_a_huge_integer_coefficient(digits, fragment):
+    huge = "1" + "0" * (digits - 1)
+    res = run_cli("decompose", f'[{{"dim": 1, "coeffs": [{huge}]}}, '
+                               '{"dim": 1, "coeffs": [1]}, {"dim": 1, "coeffs": [1]}]')
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert fragment in res.stderr
+
+
 def test_cli_decompose_rejects_malformed_json():
     res = run_cli("decompose", '[{"dim": 4, "coeffs": [0, 1, 0]}, 1, 2]')
     assert res.returncode == 2
@@ -459,3 +488,4 @@ def test_cli_hadamard_rejects_order_16():
 def test_cli_hadamard_perms_requires_order_8():
     res = run_cli("hadamard", "4", "--perms")
     assert res.returncode == 2
+    assert res.stdout == ""

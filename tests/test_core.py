@@ -68,6 +68,8 @@ def test_non_finite_coeffs_rejected():
         Hyper(2, [1.0, float("nan")])
     with pytest.raises(ValueError):
         Hyper(2, [float("inf"), 0.0])
+    with pytest.raises(ValueError):
+        Hyper(1, [10**400])   # an exact integer beyond the float range
 
 
 def test_coeffs_are_read_only():
@@ -378,6 +380,8 @@ def test_json_round_trip_random(u):
     ('{"dim": 2, "coeffs": [1, "x"]}', "coeffs[1]"),
     ('{"dim": 2, "coeffs": [1, NaN]}', "coeffs[1]"),
     ('{"dim": 2, "coeffs": [1, Infinity]}', "coeffs[1]"),
+    pytest.param('{"dim": 2, "coeffs": [1, 1' + "0" * 400 + ']}', "coeffs[1]",
+                 id="integer_beyond_float_range"),
     ('[1, 2]', "object"),
     ('{"dim": true, "coeffs": [1]}', "dim"),
 ])
