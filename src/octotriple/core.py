@@ -86,8 +86,11 @@ class Hyper:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
+        arr = np.array(self.coeffs)
+        if arr.dtype.kind in "bcSU":  # float64 would count bools, drop imaginary parts, parse text
+            raise ValueError(f"coeffs must be real numbers, got {arr.dtype} entries")
         try:
-            arr = np.array(self.coeffs, dtype=np.float64)
+            arr = arr.astype(np.float64, copy=False)
         except OverflowError:
             raise ValueError("coeffs must be finite, got an integer beyond the "
                              "float range") from None
@@ -184,11 +187,8 @@ class Hyper:
             raise ValueError("missing field 'coeffs'") from None
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
-        _check_dim(dim)
         if not isinstance(coeffs, list):
             raise ValueError("field 'coeffs' must be an array of numbers")
-        if len(coeffs) != dim:
-            raise ValueError(f"field 'coeffs' must have {dim} entries, got {len(coeffs)}")
         for k, x in enumerate(coeffs):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ValueError(f"field 'coeffs[{k}]' must be a number, got {x!r}")
@@ -199,7 +199,7 @@ class Hyper:
                                  "beyond the float range") from None
             if not finite:
                 raise ValueError(f"field 'coeffs[{k}]' must be finite, got {x!r}")
-        return cls(dim, np.asarray(coeffs, dtype=np.float64))
+        return cls(dim, coeffs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)

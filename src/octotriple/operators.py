@@ -11,22 +11,21 @@ three commuting involutions:
 Words over {+, *, v} form the group (Z/2)^3; every transformed operator
 has a closed form of the shape (x c) y or x (c y) with optionally
 conjugated factors.  The closed forms are not hard-coded per word: they
-are derived mechanically by applying the generator rewrites to the base
-form, in every generator order, and the derivation fails loudly if any
-two orders disagree.  With word w numbered by its bits (+ = 1, * = 2,
-v = 4), the components are the rows of one Sylvester transform of the
-word values, scaled by 1/8: row g averages the eight transformed
-operators with the sign pattern ALL_SIGN_TRIPLES[g] and scales by the
-corresponding eps under each involution.  Composing every word with a
-generator permutes the word values by w -> w xor bit.  The transform of
-the four two-op values over {+, *}, scaled by 1/4, reproduces the triple
-anticommutator, associator and commutator.
+are derived mechanically from the generator rewrites, and the derivation
+fails loudly unless the table is closed under every rewrite; that
+closure proves that the rewrites commute.  With word w numbered by its
+bits (+ = 1, * = 2, v = 4), the components are the rows of one Sylvester
+transform of the word values, scaled by 1/8: row g averages the eight
+transformed operators with the sign pattern ALL_SIGN_TRIPLES[g] and
+scales by the corresponding eps under each involution.  Composing every
+word with a generator permutes the word values by w -> w xor bit.  The
+transform of the four two-op values over {+, *}, scaled by 1/4,
+reproduces the triple anticommutator, associator and commutator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -131,28 +130,22 @@ def _gen_vee(f: _Form) -> _Form:
     return _conjugate_form(toggled)
 
 
+# in bit order: generator k sets bit 1 << k of a word's index in ALL_WORDS
 _GENERATORS = {"plus": _gen_plus, "star": _gen_star, "vee": _gen_vee}
 
 
 def _derive_forms() -> dict[OpWord, _Form]:
     """Derive the closed form of every word from the generator rewrites.
 
-    Applies the word's generators in every order and requires all orders to
-    agree, so the commutativity of the rewrite system is checked rather than
-    assumed.
+    Word b is the rewrite of b without its lowest generator by that generator.
+    Closure of the distinct forms under every rewrite makes every generator
+    order, repeats included, give one form: commutativity is checked, not assumed.
     """
-    forms: dict[OpWord, _Form] = {}
-    for word in ALL_WORDS:
-        gens = [g for g, on in (("plus", word.plus), ("star", word.star), ("vee", word.vee)) if on]
-        candidates = set()
-        for order in permutations(gens):
-            f = _BASE_FORM
-            for g in order:
-                f = _GENERATORS[g](f)
-            candidates.add(f)
-        if len(candidates) != 1:
-            raise RuntimeError(f"generator rewrites disagree for word {word.label}: {candidates}")
-        forms[word] = candidates.pop()
+    gens = tuple(_GENERATORS.values())
+    forms = {IDENTITY_WORD: _BASE_FORM}
+    for b in range(1, len(ALL_WORDS)):
+        low = b & -b
+        forms[ALL_WORDS[b]] = gens[low.bit_length() - 1](forms[ALL_WORDS[b ^ low]])
     if len(set(forms.values())) != len(ALL_WORDS):
         raise RuntimeError("derived closed forms are not pairwise distinct")
     for word in ALL_WORDS:

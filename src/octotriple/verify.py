@@ -46,7 +46,7 @@ from .core import (
     DEFAULT_TOLERANCE,
     Hyper,
     Tolerance,
-    VALID_DIMS,
+    _check_dim,
     _conjugate,
     _imaginary_part,
     _inner,
@@ -85,9 +85,8 @@ class RunConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.dims:
             raise ValueError("dims must not be empty")
-        bad = [d for d in self.dims if d not in VALID_DIMS]
-        if bad:
-            raise ValueError(f"dims must be among {VALID_DIMS}, got {bad}")
+        for dim in self.dims:
+            _check_dim(dim)
 
 
 @dataclass(frozen=True)

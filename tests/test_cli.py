@@ -335,6 +335,20 @@ def test_cli_verify_rejects_zero_trials():
 def test_cli_verify_rejects_bad_dims():
     res = run_cli_process("verify", "--dims", "3,4")
     assert res.returncode == 2
+    assert res.stdout == ""
+    assert "dimension must be one of (1, 2, 4, 8), got 3" in res.stderr
+
+
+def test_cli_verify_rejects_dims_that_are_not_integers():
+    res = run_cli("verify", "--dims", "4,x")
+    assert res.returncode == 2
+    assert "comma-separated integers" in res.stderr
+
+
+def test_cli_verify_defaults_are_the_run_config_defaults():
+    res = run_cli("verify", "--trials", "3", "--json")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "".join(rep.to_json() + "\n" for rep in run_all(RunConfig(trials=3)))
 
 
 @pytest.mark.parametrize("flag, value", (("--rel-tol", "inf"), ("--abs-tol", "nan"),
@@ -415,6 +429,7 @@ def test_cli_decompose_from_file(tmp_path):
     assert json.loads(res.stdout)["residual"] == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_decompose_overflow_exits_1_without_json():
     big = [{"dim": 4, "coeffs": [1e200, 1e200, -1e200, 1e200]} for _ in range(3)]
     res = run_cli("decompose", json.dumps(big))
@@ -447,7 +462,8 @@ def test_cli_decompose_rejects_dim_mismatch():
         {"dim": 4, "coeffs": [0, 0, 0, 1]},
     ]))
     assert res.returncode == 2
-    assert "mismatch" in res.stderr
+    assert res.stdout == ""
+    assert "dimension mismatch: 4 != 8" in res.stderr
 
 
 def test_cli_decompose_rejects_missing_field():
@@ -478,6 +494,13 @@ def test_cli_hadamard_lists_symmetric_permutations():
                    if l.startswith("(") and (" " in l or l == "()")]
     assert len(cycle_lines) == 28
     assert "()" in cycle_lines
+
+
+def test_cli_hadamard_list_symmetric_requires_perms():
+    res = run_cli("hadamard", "8", "--list-symmetric")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--list-symmetric requires --perms" in res.stderr
 
 
 def test_cli_hadamard_rejects_order_16():

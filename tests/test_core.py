@@ -72,6 +72,18 @@ def test_non_finite_coeffs_rejected():
         Hyper(1, [10**400])   # an exact integer beyond the float range
 
 
+@pytest.mark.parametrize("coeffs", (["1", "2e3"], [True, False], [b"1", b"2"], [1 + 2j, 0]),
+                         ids=("str", "bool", "bytes", "complex"))
+def test_non_real_coeffs_rejected(coeffs):
+    with pytest.raises(ValueError, match="real numbers"):
+        Hyper(2, coeffs)
+
+
+def test_integer_coeffs_within_the_float_range_accepted():
+    assert Hyper(2, [1, 10**20]).coeffs.tolist() == [1.0, 1e20]
+    assert Hyper(2, [np.int64(3), np.int32(-2)]).coeffs.tolist() == [3.0, -2.0]
+
+
 def test_coeffs_are_read_only():
     u = rand(8)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import octotriple.operators as operators
 from octotriple.core import DimensionError, Hyper, conjugate, multiply, norm, unit
 from octotriple.operators import (
     ALL_SIGN_TRIPLES,
@@ -118,6 +119,26 @@ def test_forms_are_distinct_and_form_a_group():
     for gen in (OpWord(plus=True), OpWord(star=True), OpWord(vee=True)):
         for word in ALL_WORDS:
             assert word.compose(gen).compose(gen) == word
+
+
+def test_derivation_rejects_a_rewrite_that_does_not_commute(monkeypatch):
+    # still an involution, but it bars the central factor on one bracketing
+    # of u1 and the other of u2, so it no longer commutes with +
+    star = operators._GENERATORS["star"]
+
+    def star_barring_central(f):
+        g = star(f)
+        toggle = (f.left == 1) != f.left_assoc
+        return operators._Form(g.left, g.bar_left, g.bar_central ^ toggle, g.bar_right,
+                               g.left_assoc)
+
+    base, plus = operators._BASE_FORM, operators._GENERATORS["plus"]
+    assert star_barring_central(star_barring_central(base)) == base
+    assert star_barring_central(plus(base)) != plus(star_barring_central(base))
+    assert operators._derive_forms() == _FORMS
+    monkeypatch.setitem(operators._GENERATORS, "star", star_barring_central)
+    with pytest.raises(RuntimeError, match="rewrite of"):
+        operators._derive_forms()
 
 
 def test_double_application_of_each_involution_is_identity():
