@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import DEFAULT_TOLERANCE, DimensionError, Hyper, Tolerance, norm_sq
-from .hadamard import VALID_ORDERS, build, doubling_order_permutations
+from .hadamard import (
+    VALID_ORDERS,
+    build,
+    doubling_order_permutations,
+    permuted_stack,
+    symmetric_mask,
+)
 from .triple import (
     anticommutator3_norm_sq,
     associator3_norm_sq,
@@ -119,7 +125,8 @@ def _cmd_hadamard(args, parser) -> int:
     print(m.render())
     if args.perms:
         perms = doubling_order_permutations(m)
-        symmetric = [p for p in perms if m.permuted_rows(p).is_symmetric()]
+        keep = symmetric_mask(permuted_stack(perms, m))
+        symmetric = [p for p, k in zip(perms, keep) if k]
         print(f"automorphism perms: {len(perms)}, symmetric: {len(symmetric)}, "
               f"asymmetric: {len(perms) - len(symmetric)}")
         if args.list_symmetric:

@@ -87,8 +87,15 @@ class Hyper:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         arr = np.array(self.coeffs)
-        if arr.dtype.kind in "bcSU":  # float64 would count bools, drop imaginary parts, parse text
+        kind = arr.dtype.kind
+        if kind in "bcSU":  # float64 would count bools, drop imaginary parts, parse text
             raise ValueError(f"coeffs must be real numbers, got {arr.dtype} entries")
+        # a bool or text mixed into a sequence of numbers leaves no trace in the
+        # dtype; a numeric ndarray's dtype, checked above, already tells
+        if arr.ndim == 1 and (kind == "O" or not isinstance(self.coeffs, np.ndarray)):
+            for k, x in enumerate(self.coeffs):
+                if isinstance(x, (bool, np.bool_, str, bytes)):
+                    raise ValueError(f"coeffs[{k}] must be a real number, got {x!r}")
         try:
             arr = arr.astype(np.float64, copy=False)
         except OverflowError:

@@ -10,7 +10,8 @@ Row permutations induced by invertible linear maps on the 3-bit labels
 preserve the set of columns; there are exactly |GL(3,2)| = 168 of them,
 of which 28 also preserve the diagonal symmetry of the matrix.  Each map
 is built from the images of labels 1, 2, 4; the independent brute force
-over all n! row permutations codes columns through inverse permutations.
+runs over a numpy table of all n! row permutations and codes columns
+through their inverses.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class SignMatrix:
         return SignMatrix(self.n, self.entries[np.array(perm.map), :])
 
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.entries, self.entries.T))
+        return bool(symmetric_mask(self.entries))
 
     def render(self) -> str:
         """Rows of '+'/'-' characters."""
@@ -140,20 +141,40 @@ def row_group_check(m: SignMatrix) -> bool:
     return True
 
 
+def permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of range(n) as rows of a uint8 array, in the
+    lexicographic order of itertools.permutations.
+
+    Built by insertion: the table for k elements is k blocks, one per first
+    element f, each the table for k - 1 elements with every entry >= f
+    shifted up by one.
+    """
+    table = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        first = np.arange(k, dtype=np.uint8)[:, None, None]
+        blocks = np.empty((k, len(table), k), dtype=np.uint8)
+        blocks[:, :, :1] = first
+        blocks[:, :, 1:] = table + (table >= first)
+        table = blocks.reshape(-1, k)
+    return table
+
+
 def column_set_preserving_permutations(m: SignMatrix) -> list[RowPermutation]:
     """All row permutations under which the multiset of columns is unchanged.
 
     Brute force over all n! permutations; n <= 8 keeps this below 41k cases.
     A column is coded with bit i set where row i is +1; row i of a permuted
-    matrix is source row perm[i], so source row r sets bit inverse[r].
+    matrix is source row perm[i], so source row r sets bit inverse[r].  The
+    codes are below 2^8, so a uint8 matrix product computes them exactly.
     """
-    bits = (m.entries > 0).astype(np.int64)
-    perms = np.array(list(iter_permutations(range(m.n))), dtype=np.intp)
-    codes = (1 << np.argsort(perms, axis=1)) @ bits
+    perms = permutation_table(m.n)
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(m.n, dtype=np.uint8)[None, :], axis=1)
+    codes = np.left_shift(np.uint8(1), inverse) @ (m.entries > 0).astype(np.uint8)
     codes.sort(axis=1)
-    # permutations() yields the identity first, so row 0 holds the original columns
+    # the table starts with the identity, so row 0 holds the original columns
     hits = np.nonzero(np.all(codes == codes[0], axis=1))[0]
-    return [RowPermutation(tuple(int(x) for x in perms[k])) for k in hits]
+    return [RowPermutation(tuple(row)) for row in perms[hits].tolist()]
 
 
 def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
@@ -175,10 +196,23 @@ def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
     return sorted(found, key=lambda p: p.map)
 
 
+def symmetric_mask(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a (..., n, n) stack equal their own transpose."""
+    return np.all(stack == np.swapaxes(stack, -1, -2), axis=(-2, -1))
+
+
+def permuted_stack(perms: list[RowPermutation], m: SignMatrix) -> np.ndarray:
+    """m.permuted_rows(p).entries for every p in perms, as one (len(perms), n, n) array."""
+    table = np.array([p.map for p in perms] or np.empty((0, m.n)), dtype=np.intp)
+    if table.shape[1:] != (m.n,):
+        raise ValueError(f"permutations of length {table.shape[1]} on order {m.n}")
+    return m.entries[table]
+
+
 def classify_symmetry(perms: list[RowPermutation], m: SignMatrix) -> tuple[int, int]:
     """Partition permutations by whether the row-permuted matrix stays symmetric.
 
     Returns (symmetric_count, asymmetric_count).
     """
-    sym = sum(1 for p in perms if m.permuted_rows(p).is_symmetric())
+    sym = int(np.count_nonzero(symmetric_mask(permuted_stack(perms, m))))
     return sym, len(perms) - sym

@@ -15,10 +15,13 @@ per suite and dimension: each argument is a (rows, dim) array whose row r
 holds what the generator of the block's r-th trial draws, and every
 identity is computed for all rows at once on the array forms of the
 library (`core._multiply` and the `_name` functions wrapped by the public
-API).  Blocks bound the memory a run needs, whatever its trial count.  A trial can still be replayed
-alone: its generator, drawn in the suite's order, gives exactly its row.
-Trial 0 also runs through the public Hyper API, into the same channels,
-so the wrappers the library exposes are checked alongside the array forms.
+API).  Blocks bound the memory a run needs, whatever its trial count.  A
+block draws from one generator, re-keyed before each row to the state a
+new generator with that row's key starts in; Philox is counter-based, so
+`trial_generator(seed, suite_index, t)`, drawn in the suite's order,
+still replays trial t's row exactly.  Trial 0 also runs through the
+public Hyper API, into the same channels, so the wrappers the library
+exposes are checked alongside the array forms.
 
 Residuals are normalized before aggregation: a residual r of an identity
 with natural scale s contributes r / (f * (s + abs/rel)), where f is the
@@ -156,11 +159,21 @@ class Channels:
         return {k: v for k, v in self.maxima.items() if not k.startswith("info:")}
 
 
-def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.Generator:
-    """Generator for one trial, keyed [seed mod 2^64, suite_index * 2^32 + trial_index]."""
+def _trial_key(seed: int, suite_index: int, trial_index: int) -> tuple[int, int]:
+    """The Philox key of one trial: [seed mod 2^64, suite_index * 2^32 + trial_index]."""
     if not (0 <= suite_index < 1 << 32 and 0 <= trial_index < 1 << 32):
         raise ValueError(f"suite and trial indices must be in [0, 2^32): {suite_index}, {trial_index}")
-    key = np.array([seed & _MASK64, (suite_index << 32) | trial_index], dtype=np.uint64)
+    return seed & _MASK64, (suite_index << 32) | trial_index
+
+
+def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.Generator:
+    """Generator for one trial, keyed [seed mod 2^64, suite_index * 2^32 + trial_index].
+
+    A new generator per trial; the suites draw a block of trials from one
+    generator re-keyed per row instead, and this function replays any one
+    of those rows exactly.
+    """
+    key = np.array(_trial_key(seed, suite_index, trial_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -625,12 +638,21 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
 
     Row r is what trial start + r's own generator yields when the trial
     draws its vectors and then its scalars one by one, so any row can be
-    replayed alone from its key.
+    replayed alone by `trial_generator`.  Building a generator costs more
+    than drawing a row, so the block builds one, for its first trial, and
+    before each row sets its state to the new generator's state (counter
+    zero, buffer empty) with the row's key.  Philox is counter-based, so
+    the re-keyed stream is exactly that of a new generator with the key.
     """
     idx = SUITE_INDEX[suite.name]
     rows = np.empty((stop - start, suite.vectors * dim + suite.scalars))
+    generator = trial_generator(config.seed, idx, start)
+    bit_generator = generator.bit_generator
+    state = bit_generator.state   # a fresh copy, re-keyed in place below
     for r, t in enumerate(range(start, stop)):
-        trial_generator(config.seed, idx, t).standard_normal(out=rows[r])
+        state["state"]["key"][:] = _trial_key(config.seed, idx, t)
+        bit_generator.state = state
+        generator.standard_normal(out=rows[r])
     vectors = rows[:, :suite.vectors * dim].reshape(stop - start, suite.vectors, dim)
     blocks = tuple(np.ascontiguousarray(vectors[:, i]) for i in range(suite.vectors))
     return blocks + (rows[:, suite.vectors * dim:],) if suite.scalars else blocks

@@ -198,6 +198,25 @@ def test_block_row_t_is_trial_t_drawn_alone(name, dim):
             np.testing.assert_array_equal(block[-1][r], rng.standard_normal(suite.scalars))
 
 
+@pytest.mark.parametrize("seed", (0, 2**64 + 5))
+def test_rows_of_the_shared_generator_replay_alone(seed):
+    # a block re-keys one generator per row: each row, up to the last trial
+    # index a key holds and across blocks drawn back to back, is what the
+    # trial's own generator draws, vectors then the operator suite's alpha, beta
+    suite = next(s for s in verify._SUITES if s.name == "operator")
+    config = RunConfig(seed=seed, trials=1 << 32)
+    last = (1 << 32) - 1
+    for start, stop in ((0, 3), (3, 5), (last - 2, last + 1)):
+        block = verify._draw_block(suite, config, 8, start, stop)
+        for r, t in enumerate(range(start, stop)):
+            rng = trial_generator(seed % 2**64, SUITE_INDEX["operator"], t)
+            for i in range(suite.vectors):
+                np.testing.assert_array_equal(block[i][r], rng.standard_normal(8))
+            np.testing.assert_array_equal(block[-1][r], rng.standard_normal(suite.scalars))
+    with pytest.raises(ValueError, match="2\\^32"):
+        verify._draw_block(suite, config, 8, last, last + 2)
+
+
 def test_blocks_of_any_size_give_the_same_reports(monkeypatch):
     # trial 0 runs through the public API once, in the first block, so the
     # maxima over blocks of 7, 7, 7 and 4 rows are those over one block of 25

@@ -79,6 +79,17 @@ def test_non_real_coeffs_rejected(coeffs):
         Hyper(2, coeffs)
 
 
+@pytest.mark.parametrize("coeffs", ([1.5, True], [10**20, "5"], (2.0, np.bool_(False)),
+                                    [10**20, b"5"], np.array([1.5, True], dtype=object)),
+                         ids=("bool_among_floats", "str_beside_a_big_int", "numpy_bool",
+                              "bytes_beside_a_big_int", "object_array"))
+def test_a_bool_or_text_element_among_numbers_is_rejected(coeffs):
+    # numpy would take these as float64 [1.5, 1.0] or, through the object
+    # dtype, parse the text; Hyper.from_dict rejects the same elements
+    with pytest.raises(ValueError, match=r"coeffs\[1\] must be a real number"):
+        Hyper(2, coeffs)
+
+
 def test_integer_coeffs_within_the_float_range_accepted():
     assert Hyper(2, [1, 10**20]).coeffs.tolist() == [1.0, 1e20]
     assert Hyper(2, [np.int64(3), np.int32(-2)]).coeffs.tolist() == [3.0, -2.0]

@@ -1,9 +1,12 @@
+import io
+import json
+from contextlib import redirect_stdout
 from itertools import permutations as iter_permutations
 
 import numpy as np
 import pytest
 
-from octotriple import verify
+from octotriple import cli, verify
 from octotriple.hadamard import (
     RowPermutation,
     SignMatrix,
@@ -11,7 +14,10 @@ from octotriple.hadamard import (
     classify_symmetry,
     column_set_preserving_permutations,
     doubling_order_permutations,
+    permutation_table,
+    permuted_stack,
     row_group_check,
+    symmetric_mask,
     transform,
 )
 
@@ -119,6 +125,47 @@ def test_identity_permutation_always_preserves_columns():
         assert tuple(range(n)) in {p.map for p in perms}
 
 
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_permutation_table_is_itertools_order(n):
+    table = permutation_table(n)
+    assert table.dtype == np.uint8
+    assert list(map(tuple, table.tolist())) == list(iter_permutations(range(n)))
+
+
+def _brute_force_over_tuples(m):
+    # the enumeration the numpy table replaced: Python tuples, argsort inverses, int64 codes
+    bits = (m.entries > 0).astype(np.int64)
+    perms = np.array(list(iter_permutations(range(m.n))), dtype=np.intp)
+    codes = (1 << np.argsort(perms, axis=1)) @ bits
+    codes.sort(axis=1)
+    hits = np.nonzero(np.all(codes == codes[0], axis=1))[0]
+    return [tuple(int(x) for x in perms[k]) for k in hits]
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_brute_force_matches_the_tuple_enumeration_in_order(n):
+    m = build(n)
+    assert [p.map for p in column_set_preserving_permutations(m)] == _brute_force_over_tuples(m)
+
+
+def test_brute_force_tracks_a_matrix_with_repeated_columns():
+    # columns (+,+,-,-) twice: swapping rows 0,1 or rows 2,3 keeps the multiset
+    m = SignMatrix(4, [[1, 1, 1, 1], [1, 1, 1, 1], [-1, -1, 1, 1], [-1, -1, 1, 1]])
+    got = [p.map for p in column_set_preserving_permutations(m)]
+    assert got == _brute_force_over_tuples(m)
+    assert got == [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
+
+
+def test_verify_json_reports_168_column_preserving_permutations():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["verify", "--suites", "hadamard", "--trials", "1", "--json"])
+    assert code == 0
+    details = json.loads(out.getvalue())["details"]
+    assert details["column_set_preserving_count_order8"] == 168
+    assert details["column_set_preserving_count_order4"] == 6
+
+
 def test_a4_column_preserving_permutations_fix_the_top_row():
     perms = column_set_preserving_permutations(build(4))
     maps = {p.map for p in perms}
@@ -195,6 +242,16 @@ def test_classification_counts_28_symmetric_140_asymmetric():
     perms = doubling_order_permutations(m)
     sym, asym = classify_symmetry(perms, m)
     assert (sym, asym) == (28, 140)
+
+
+def test_symmetric_mask_agrees_with_each_permuted_matrix():
+    m = build(8)
+    perms = doubling_order_permutations(m)
+    mask = symmetric_mask(permuted_stack(perms, m))
+    assert mask.tolist() == [m.permuted_rows(p).is_symmetric() for p in perms]
+    assert classify_symmetry([], m) == (0, 0)
+    with pytest.raises(ValueError):
+        permuted_stack([RowPermutation((0, 1, 2, 3))], m)
 
 
 def test_identity_is_in_the_symmetric_bucket():
