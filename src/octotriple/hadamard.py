@@ -9,9 +9,9 @@ the doubling order e, a, b, ab, c, ac, bc, abc.
 Row permutations induced by invertible linear maps on the 3-bit labels
 preserve the set of columns; there are exactly |GL(3,2)| = 168 of them,
 of which 28 also preserve the diagonal symmetry of the matrix.  Each map
-is built from the images of labels 1, 2, 4; the independent brute force
-runs over a numpy table of all n! row permutations and codes columns
-through their inverses.
+is built from the images of labels 1, 2, 4; the independent exact search
+never uses that structure and prunes row prefixes whose partial column
+codes already differ from the matrix's.
 """
 
 from __future__ import annotations
@@ -141,40 +141,32 @@ def row_group_check(m: SignMatrix) -> bool:
     return True
 
 
-def permutation_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows of a uint8 array, in the
-    lexicographic order of itertools.permutations.
-
-    Built by insertion: the table for k elements is k blocks, one per first
-    element f, each the table for k - 1 elements with every entry >= f
-    shifted up by one.
-    """
-    table = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, n + 1):
-        first = np.arange(k, dtype=np.uint8)[:, None, None]
-        blocks = np.empty((k, len(table), k), dtype=np.uint8)
-        blocks[:, :, :1] = first
-        blocks[:, :, 1:] = table + (table >= first)
-        table = blocks.reshape(-1, k)
-    return table
-
-
 def column_set_preserving_permutations(m: SignMatrix) -> list[RowPermutation]:
-    """All row permutations under which the multiset of columns is unchanged.
+    """All row permutations under which the multiset of columns is unchanged,
+    in the lexicographic order of itertools.permutations.
 
-    Brute force over all n! permutations; n <= 8 keeps this below 41k cases.
-    A column is coded with bit i set where row i is +1; row i of a permuted
-    matrix is source row perm[i], so source row r sets bit inverse[r].  The
-    codes are below 2^8, so a uint8 matrix product computes them exactly.
+    Exact prefix-pruned search.  A column is coded with bit i set where row i
+    of the permuted matrix (source row perm[i]) is +1.  Level k holds, in
+    lexicographic order, every k-row prefix of distinct source rows whose
+    k-bit partial column codes, sorted, equal those of the first k rows;
+    each level extends every prefix by every unused row, in increasing
+    order, and keeps the matches.  No solution is pruned: a permutation that
+    preserves the column multiset preserves its projection onto the first k
+    rows.  Codes are below 2^8, so uint8 holds them exactly.
     """
-    perms = permutation_table(m.n)
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms, np.arange(m.n, dtype=np.uint8)[None, :], axis=1)
-    codes = np.left_shift(np.uint8(1), inverse) @ (m.entries > 0).astype(np.uint8)
-    codes.sort(axis=1)
-    # the table starts with the identity, so row 0 holds the original columns
-    hits = np.nonzero(np.all(codes == codes[0], axis=1))[0]
-    return [RowPermutation(tuple(row)) for row in perms[hits].tolist()]
+    bits = (m.entries > 0).astype(np.uint8)
+    prefixes = np.zeros((1, 0), dtype=np.intp)
+    codes = np.zeros((1, m.n), dtype=np.uint8)   # partial column codes, unsorted
+    target = np.zeros(m.n, dtype=np.uint8)       # those of the first rows in place
+    for k in range(m.n):
+        free = np.all(prefixes[:, :, None] != np.arange(m.n), axis=1)
+        parent, row = np.nonzero(free)             # row-major: lexicographic order
+        codes = codes[parent] | (bits[row] << k)
+        target |= bits[k] << k
+        keep = np.all(np.sort(codes, axis=1) == np.sort(target), axis=1)
+        prefixes = np.concatenate((prefixes[parent], row[:, None]), axis=1)[keep]
+        codes = codes[keep]
+    return [RowPermutation(tuple(row)) for row in prefixes.tolist()]
 
 
 def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:

@@ -159,6 +159,12 @@ def _derive_forms() -> dict[OpWord, _Form]:
 _FORMS = _derive_forms()
 
 
+# each word's (left, central, right, left_assoc), a factor being its slot in
+# (u1, u2, u, conj(u1), conj(u2), conj(u))
+_PLANS = {word: (f.left - 1 + 3 * f.bar_left, 2 + 3 * f.bar_central,
+                 2 - f.left + 3 * f.bar_right, f.left_assoc) for word, f in _FORMS.items()}
+
+
 # -- the operator ------------------------------------------------------------
 
 
@@ -179,16 +185,7 @@ class TripleOperator:
 
 def _apply(u1: np.ndarray, u2: np.ndarray, word: OpWord, u: np.ndarray) -> np.ndarray:
     """Array form of apply: the operator with parameters u1, u2 transformed by word, at u."""
-    form = _FORMS[word]
-    left, right = (u1, u2) if form.left == 1 else (u2, u1)
-    if form.bar_left:
-        left = _conjugate(left)
-    if form.bar_right:
-        right = _conjugate(right)
-    central = _conjugate(u) if form.bar_central else u
-    if form.left_assoc:
-        return _multiply(_multiply(left, central), right)
-    return _multiply(left, _multiply(central, right))
+    return _word_values(u1, u2, u, (word,))[0]
 
 
 def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
@@ -224,8 +221,15 @@ _EPS = np.array([(s.eps_plus, s.eps_star, s.eps_vee) for s in ALL_SIGN_TRIPLES])
 
 
 def _word_values(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, words=ALL_WORDS) -> np.ndarray:
-    """A^w u for each word, stacked along a new first axis in the given order."""
-    return np.stack([_apply(u1, u2, w, u) for w in words])
+    """A^w u for each word, stacked along a new first axis in the given order.
+
+    u1, u2 and u are each conjugated once per call, not once per word; each
+    word's operands and bracketing come from its plan."""
+    operand = [u1, u2, u]
+    operand += [_conjugate(x) for x in operand]
+    return np.stack([_multiply(_multiply(operand[x], operand[c]), operand[y]) if left_assoc
+                     else _multiply(operand[x], _multiply(operand[c], operand[y]))
+                     for x, c, y, left_assoc in (_PLANS[w] for w in words)])
 
 
 def _components(values: np.ndarray) -> np.ndarray:

@@ -259,6 +259,8 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
     ub = _conjugate(u)
 
     anti, comm, assoc, residual = tp._decompose_triple(u1, u, u2)
+    # the operation forms, each evaluated once and compared by several channels
+    comm_op, assoc_op = tp._commutator3(u1, u, u2), tp._associator3(u1, u, u2)
     # the four bracket/order variants, by hand, are the inverse transform of the parts
     variants = np.stack((_multiply(_multiply(u1, ub), u2), _multiply(_multiply(u2, ub), u1),
                          _multiply(u2, _multiply(ub, u1)), _multiply(u1, _multiply(ub, u2))))
@@ -267,8 +269,7 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
     ch.add("stored_residual", residual, s)
     ch.add("parts_match_operations",
            np.maximum.reduce((_norm(anti - tp._anticommutator3(u1, u, u2)),
-                              _norm(comm - tp._commutator3(u1, u, u2)),
-                              _norm(assoc - tp._associator3(u1, u, u2)))), s)
+                              _norm(comm - comm_op), _norm(assoc - assoc_op))), s)
 
     ch.add("orthogonality",
            np.maximum.reduce((np.abs(_inner(anti, comm)),
@@ -283,11 +284,10 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
            np.maximum(_norm(anti - tp._anticommutator3_closed(u1, u, u2)),
                       _norm(comm - tp._commutator3_closed(u1, u, u2))), s)
 
-    assoc_swap = _norm(tp._associator3(u1, u, u2) + tp._associator3(u2, u, u1))
+    assoc_swap = _norm(assoc_op + tp._associator3(u2, u, u1))
     ch.add("associator_cancellation", assoc_swap, s)
     ch.add("antisymmetry",
-           np.maximum(_norm(tp._commutator3(u1, u, u2) + tp._commutator3(u2, u, u1)),
-                      assoc_swap), s)
+           np.maximum(_norm(comm_op + tp._commutator3(u2, u, u1)), assoc_swap), s)
     ch.add("degenerate_pair",
            np.maximum(_norm(tp._commutator3(u1, u, u1)), _norm(tp._associator3(u1, u, u1))),
            s1 * s1 * su)
@@ -302,10 +302,8 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
                s * np.maximum(sx, 1e-30))
 
     ch.add("mixed_product_anticommutativity",
-           np.maximum(np.abs(_inner(tp._commutator3(u1, u, u2), u3)
-                             + _inner(tp._commutator3(u3, u, u2), u1)),
-                      np.abs(_inner(tp._associator3(u1, u, u2), u3)
-                             + _inner(tp._associator3(u3, u, u2), u1))),
+           np.maximum(np.abs(_inner(comm_op, u3) + _inner(tp._commutator3(u3, u, u2), u1)),
+                      np.abs(_inner(assoc_op, u3) + _inner(tp._associator3(u3, u, u2), u1))),
            s * s3)
 
     if dim <= 4:
@@ -546,7 +544,7 @@ def _hadamard_suite(ch: Channels) -> None:
               ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))}
     ch.add_exact("a4_row_fixing_permutations", len(fixing - csp4))
     ch.note("column_set_preserving_count_order4", len(csp4))
-    # the brute force is exactly the set of column-preserving permutations
+    # the exact search finds every column-preserving permutation, the linear ones included
     csp8 = {p.map for p in hd.column_set_preserving_permutations(a8)}
     ch.note("column_set_preserving_count_order8", len(csp8))
     ch.add_exact("automorphisms_preserve_columns", len(perm_set - csp8))

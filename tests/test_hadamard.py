@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 from itertools import permutations as iter_permutations
 
@@ -14,7 +15,6 @@ from octotriple.hadamard import (
     classify_symmetry,
     column_set_preserving_permutations,
     doubling_order_permutations,
-    permutation_table,
     permuted_stack,
     row_group_check,
     symmetric_mask,
@@ -125,21 +125,56 @@ def test_identity_permutation_always_preserves_columns():
         assert tuple(range(n)) in {p.map for p in perms}
 
 
-@pytest.mark.parametrize("n", (2, 4, 8))
-def test_permutation_table_is_itertools_order(n):
-    table = permutation_table(n)
-    assert table.dtype == np.uint8
-    assert list(map(tuple, table.tolist())) == list(iter_permutations(range(n)))
-
-
 def _brute_force_over_tuples(m):
-    # the enumeration the numpy table replaced: Python tuples, argsort inverses, int64 codes
+    # reference: all n! row orders, columns coded through argsort inverses as int64
     bits = (m.entries > 0).astype(np.int64)
     perms = np.array(list(iter_permutations(range(m.n))), dtype=np.intp)
     codes = (1 << np.argsort(perms, axis=1)) @ bits
     codes.sort(axis=1)
     hits = np.nonzero(np.all(codes == codes[0], axis=1))[0]
     return [tuple(int(x) for x in perms[k]) for k in hits]
+
+
+def _random_sign_matrices(n, seed):
+    # plain, with a repeated row, with repeated columns, with both
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        for repeat_row in (False, True):
+            for repeat_cols in (False, True):
+                entries = rng.choice((-1, 1), size=(n, n))
+                if repeat_row:
+                    entries[-1] = entries[0]
+                if repeat_cols:
+                    entries[:, 1:] = entries[:, rng.integers(0, 2, size=n - 1)]
+                yield SignMatrix(n, entries)
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_pruned_search_is_the_oracle_in_order(n):
+    counts = []
+    for m in _random_sign_matrices(n, seed=n):
+        got = [p.map for p in column_set_preserving_permutations(m)]
+        assert got == _brute_force_over_tuples(m)
+        counts.append(len(got))
+    # repeated rows and columns leave many orders: the search is not only finding the identity
+    assert max(counts) > 1
+
+
+def test_pruned_search_keeps_every_order_of_the_all_ones_matrix():
+    got = column_set_preserving_permutations(SignMatrix(8, np.ones((8, 8))))
+    assert [p.map for p in got] == list(iter_permutations(range(8)))
+
+
+def test_pruned_search_peak_memory_at_order_8():
+    m = build(8)
+    tracemalloc.start()
+    try:
+        column_set_preserving_permutations(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n! enumeration peaked at ~1.3 MB; the pruned levels hold at most 168 x 8 prefixes
+    assert peak <= 512 * 1024
 
 
 @pytest.mark.parametrize("n", (2, 4, 8))
