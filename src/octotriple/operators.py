@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyper, _check_same_dim, _coeffs, _conjugate, _inner, _multiply, _norm, inner
+from .core import Hyper, _check_same_dim, _coeffs, _conjugate, _inner, _multiply, _norm
 # `multiply` stays bound in this module as it was before the array forms: the
 # benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
 # package that binds it.
@@ -197,9 +197,10 @@ def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
 def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
                      word: OpWord = IDENTITY_WORD) -> float:
     """|(A^w u, v) - (u, A^{w+} v)|: how far the +-partner is from the true adjoint."""
-    lhs = inner(apply(op, word, u), v)
-    rhs = inner(u, apply(op, word.compose(OpWord(plus=True)), v))
-    return abs(lhs - rhs)
+    u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
+    lhs = _inner(_word_values(u1, u2, x, (word,))[0], y)
+    rhs = _inner(x, _word_values(u1, u2, y, (word.compose(OpWord(plus=True)),))[0])
+    return float(abs(lhs - rhs))
 
 
 def _materialize(u1: np.ndarray, u2: np.ndarray, word: OpWord) -> np.ndarray:

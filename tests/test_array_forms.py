@@ -1,11 +1,15 @@
 """Each public Hyper function against its array form, row by row, and the
 dimension check and result type that `core._lift` adds around it.
 
-The verify suites call the array forms on (trials, dim) blocks; the public
-functions call them on single vectors.  Block rows may differ from the
-single-vector result in the last bits (a batched matmul sums in its own
-order), so rows are compared within a bound set from float64 epsilon and
-the function's degree in its arguments.
+This module is the one home of the wrapper checks.  The verify suites call
+the array forms on (trials, dim) blocks; the public functions call them on
+single vectors.  Verify runs trial 0 through the public API only where the
+benchmark's call tracer still times the public functions (the
+decomposition, lengths and bridge suites) and for `component3_public_api`,
+the first operator component against the mean of the eight `apply` values.
+Block rows may differ from the single-vector result in the last bits (a
+batched matmul sums in its own order), so rows are compared within a bound
+set from float64 epsilon and the function's degree in its arguments.
 """
 
 import numpy as np
@@ -82,7 +86,6 @@ def test_block_rows_match_decompose_gram_and_operators(dim):
     anti, comm, assoc, residual = triple._decompose_triple(u1, u, u2)
     lhs, rhs = triple._gram_det_imaginary_identity(u1, u, u2)
     grams = triple._gram(u1, u, u2), triple._gram_imaginary(u1, u, u2)
-    mats = operators._materialize(u1, u2, operators.OpWord(plus=True, vee=True))
     eig = operators._eigen_residuals(operators._word_values(u1, u2, u),
                                      operators._word_values(u1, u2, v), u, v)
     for t in range(ROWS):
@@ -101,10 +104,38 @@ def test_block_rows_match_decompose_gram_and_operators(dim):
         np.testing.assert_allclose(grams[1][t], triple.gram_imaginary(h1, h, h2).entries,
                                    rtol=0, atol=BOUND * scale)
         op = operators.TripleOperator(h1, h2)
-        np.testing.assert_allclose(
-            mats[t], operators.materialize(op, operators.OpWord(plus=True, vee=True)),
-            rtol=0, atol=atol)
         for g, signs in enumerate(operators.ALL_SIGN_TRIPLES):
             np.testing.assert_allclose(
                 eig[g, :, t], operators.component3_eigen_residuals(op, signs, h, hv),
                 rtol=0, atol=atol * np.linalg.norm(v[t]))
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_block_rows_match_the_operator_functions(dim):
+    u1, u2, u, v = RNG.standard_normal((4, ROWS, dim))
+    values_u = operators._word_values(u1, u2, u)
+    values_v = operators._word_values(u1, u2, v)
+    comps2, comps3 = operators._components(values_u[:4]), operators._components(values_u)
+    mats = [operators._materialize(u1, u2, w) for w in operators.ALL_WORDS]
+    for t in range(ROWS):
+        h1, h2, h, hv = (Hyper(dim, x[t]) for x in (u1, u2, u, v))
+        op = operators.TripleOperator(h1, h2)
+        s_op = np.linalg.norm(u1[t]) * np.linalg.norm(u2[t])
+        atol = BOUND * s_op * np.linalg.norm(u[t])
+        for w, word in enumerate(operators.ALL_WORDS):
+            np.testing.assert_allclose(operators.apply(op, word, h).coeffs, values_u[w, t],
+                                       rtol=0, atol=atol)
+            np.testing.assert_allclose(operators.materialize(op, word), mats[w][t],
+                                       rtol=0, atol=BOUND * s_op)
+            # the +-partner of word w is word w ^ 1
+            pairing = abs(core._inner(values_u[w, t], v[t])
+                          - core._inner(values_v[w ^ 1, t], u[t]))
+            np.testing.assert_allclose(operators.adjoint_residual(op, h, hv, word), pairing,
+                                       rtol=0, atol=atol * np.linalg.norm(v[t]))
+        for g, signs in enumerate(operators.ALL_SIGN_TRIPLES):
+            if g < 4:   # the two-operation rows: eps_v is +1
+                np.testing.assert_allclose(
+                    operators.component2(op, signs.eps_plus, signs.eps_star, h).coeffs,
+                    comps2[g, t], rtol=0, atol=atol)
+            np.testing.assert_allclose(operators.component3(op, signs, h).coeffs,
+                                       comps3[g, t], rtol=0, atol=atol)

@@ -275,6 +275,17 @@ def test_every_suite_reports_its_pinned_channels():
     assert {(r.suite, r.dim): set(r.details["channels"]) for r in reports} == CHANNELS
 
 
+def test_every_suite_passes_at_dims_1_and_2_with_the_dim_4_channels():
+    # the reals and complexes are associative like the quaternions, so each
+    # suite checks what it checks at dim 4 except the 3-D cross product
+    reports = run_all(RunConfig(seed=7, trials=25, dims=(1, 2)))
+    assert len(reports) == 11 and all(r.passed for r in reports)
+    for r in reports:
+        want = CHANNELS[(r.suite, 8)] if r.suite == "hadamard" else (
+            CHANNELS[(r.suite, 4)] - {"cross2_matches_3d_cross"})
+        assert set(r.details["channels"]) == want, (r.suite, r.dim)
+
+
 def test_run_all_passes_at_200_trials():
     reports = run_all(RunConfig(seed=42, trials=200, dims=(4, 8)))
     assert len(reports) == 11
