@@ -9,7 +9,8 @@ Cayley-Dickson rule
 applied recursively from the reals.  Under this convention the quaternion
 block satisfies i1*i2 == i3, i2*i1 == -i3.  Since i_i * i_j = +-i_{i xor j},
 every product is one XOR-indexed kernel, (a*b)[k] = sum_i s[i, k] a[i] b[i xor k],
-with the index and sign tables built once per dimension.
+with the index and sign tables built once per dimension; the signs double
+block by block, like the Sylvester matrix in `hadamard`, one block per case.
 
 Each identity is computed once, by an array form `_name` over float64
 coefficient arrays whose last axis is the basis index, so the same code
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
 
@@ -36,7 +38,8 @@ class DimensionError(ValueError):
 
 
 def _check_dim(dim: int) -> None:
-    if dim not in VALID_DIMS:
+    # True == 1 and 4.0 == 4, so membership alone would let them through
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in VALID_DIMS:
         raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
 
 
@@ -90,11 +93,11 @@ class Hyper:
         kind = arr.dtype.kind
         if kind in "bcSU":  # float64 would count bools, drop imaginary parts, parse text
             raise ValueError(f"coeffs must be real numbers, got {arr.dtype} entries")
-        # a bool or text mixed into a sequence of numbers leaves no trace in the
-        # dtype; a numeric ndarray's dtype, checked above, already tells
+        # a bool, text or other object mixed into a sequence of numbers leaves
+        # no trace in the dtype; a numeric ndarray's dtype, checked above, already tells
         if arr.ndim == 1 and (kind == "O" or not isinstance(self.coeffs, np.ndarray)):
             for k, x in enumerate(self.coeffs):
-                if isinstance(x, (bool, np.bool_, str, bytes)):
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
                     raise ValueError(f"coeffs[{k}] must be a real number, got {x!r}")
         try:
             arr = arr.astype(np.float64, copy=False)
@@ -192,8 +195,6 @@ class Hyper:
             coeffs = obj["coeffs"]
         except KeyError:
             raise ValueError("missing field 'coeffs'") from None
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
         if not isinstance(coeffs, list):
             raise ValueError("field 'coeffs' must be an array of numbers")
         for k, x in enumerate(coeffs):
@@ -223,32 +224,22 @@ class Hyper:
 # -- multiplication table --------------------------------------------------
 
 
-def _basis_sign(dim: int, i: int, j: int) -> int:
-    """Sign s in i_i * i_j = s * i_{i xor j}, by the pinned doubling rule."""
-    if dim == 1:
-        return 1
-    h = dim // 2
-    if i < h and j < h:
-        return _basis_sign(h, i, j)
-    if i < h:
-        # (x, 0)(0, y) = (0, y*x)
-        return _basis_sign(h, j - h, i)
-    if j < h:
-        # (0, x)(y, 0) = (0, x*conj(y))
-        s = _basis_sign(h, i - h, j)
-        return s if j == 0 else -s
-    # (0, x)(0, y) = (-conj(y)*x, 0)
-    s = _basis_sign(h, j - h, i - h)
-    return -s if j - h == 0 else s
-
-
 @lru_cache(maxsize=None)
 def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Index table i ^ k and sign table s[i, k] of i_i * i_{i^k} = s[i, k] * i_k."""
+    # m[i, j], the sign of i_i * i_j, doubles like hadamard.build: for basis elements
+    # x = i_i, y = i_j of the half algebra and c[j] the sign of conj(y), the blocks are
+    #   (x, 0)(y, 0) = (x*y, 0)              m
+    #   (x, 0)(0, y) = (0, y*x)              m.T
+    #   (0, x)(y, 0) = (0, x*conj(y))        m * c
+    #   (0, x)(0, y) = (-conj(y)*x, 0)       -m.T * c
+    m = np.ones((1, 1))
+    while len(m) < dim:
+        c = np.where(np.arange(len(m)), -1.0, 1.0)
+        m = np.block([[m, m.T], [m * c, -m.T * c]])
     idx = np.arange(dim)
     xor = idx[:, None] ^ idx[None, :]
-    sign = np.array([[_basis_sign(dim, i, j) for j in row] for i, row in enumerate(xor)],
-                    dtype=np.float64)
+    sign = m[idx[:, None], xor]
     xor.flags.writeable = sign.flags.writeable = False
     return xor, sign
 

@@ -183,15 +183,10 @@ class TripleOperator:
         return self.u1.dim
 
 
-def _apply(u1: np.ndarray, u2: np.ndarray, word: OpWord, u: np.ndarray) -> np.ndarray:
-    """Array form of apply: the operator with parameters u1, u2 transformed by word, at u."""
-    return _word_values(u1, u2, u, (word,))[0]
-
-
 def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
     """Evaluate the word-transformed operator at u."""
     u1, u2, x = _coeffs(op.u1, op.u2, u)
-    return Hyper._wrap(op.dim, _apply(u1, u2, word, x))
+    return Hyper._wrap(op.dim, _word_values(u1, u2, x, (word,))[0])
 
 
 def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
@@ -204,8 +199,10 @@ def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
 
 
 def _materialize(u1: np.ndarray, u2: np.ndarray, word: OpWord) -> np.ndarray:
-    """Array form of materialize: (..., dim, dim), column k the image of basis element k."""
-    return np.stack([_apply(u1, u2, word, e) for e in np.eye(u1.shape[-1])], axis=-1)
+    """Array form of materialize: (..., dim, dim), column k the image of basis element k:
+    one word value over the rows of the identity, with the last two axes swapped."""
+    rows = _word_values(u1[..., None, :], u2[..., None, :], np.eye(u1.shape[-1]), (word,))[0]
+    return np.swapaxes(rows, -1, -2)
 
 
 def materialize(op: TripleOperator, word: OpWord = IDENTITY_WORD) -> np.ndarray:

@@ -12,9 +12,10 @@ The product (u1 * conj(u)) * u2 splits into three mutually orthogonal parts:
 The four bracket/order variants (u1 ub) u2, (u2 ub) u1, u2 (ub u1) and
 u1 (ub u2), ub = conj(u), are the two-op word values of the operator in
 `operators`; their Sylvester transform, scaled by 1/4, holds anti, assoc,
-0 and comm in rows 0..3.  Each part is also its row of the order-4
-Sylvester matrix on one pair of these columns, halved; the complementary
-pair (the `_alt` form) agrees, which is itself a verified identity.
+0 and comm in rows 0..3.  Each part is also one row of `_components` over
+a pair of these word values, the half sum (row 0) or half difference
+(row 1); the complementary pair (the `_alt` form) agrees, which is itself
+a verified identity.
 Closed forms express the anticommutator as a linear combination of the
 arguments and the commutator via pair cross products.
 
@@ -44,7 +45,6 @@ from .core import (
 # benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
 # package that binds it.
 from .core import multiply  # noqa: F401
-from .hadamard import build
 from .operators import TWO_OP_WORDS, _components, _word_values
 
 
@@ -70,25 +70,17 @@ pair_product_expansion = _lift(_pair_product_expansion)
 
 # -- the three parts ---------------------------------------------------------
 
-_H4 = build(4).entries
-
-
-def _half_sum(u1: np.ndarray, u: np.ndarray, u2: np.ndarray,
-              row: int, cols: tuple[int, int]) -> np.ndarray:
-    """Row `row` of the order-4 Sylvester matrix on two word columns, halved;
-    evaluates only the two word values it selects."""
-    a, b = _word_values(u1, u2, u, [TWO_OP_WORDS[c] for c in cols])
-    return (_H4[row, cols[0]] * a + _H4[row, cols[1]] * b) / 2
+_E, _PLUS, _STAR, _PLUS_STAR = TWO_OP_WORDS
 
 
 def _anticommutator3(u1, u, u2):
     """{u1, u, u2} = ((u1 ub) u2 + (u2 ub) u1) / 2, ub = conj(u)."""
-    return _half_sum(u1, u, u2, 0, (0, 1))
+    return _components(_word_values(u1, u2, u, (_E, _PLUS)))[0]
 
 
 def _anticommutator3_alt(u1, u, u2):
-    """Second half-sum form: (u1 (ub u2) + u2 (ub u1)) / 2."""
-    return _half_sum(u1, u, u2, 0, (2, 3))
+    """Second half-sum form: (u2 (ub u1) + u1 (ub u2)) / 2."""
+    return _components(_word_values(u1, u2, u, (_STAR, _PLUS_STAR)))[0]
 
 
 def _anticommutator3_closed(u1, u, u2):
@@ -99,22 +91,22 @@ def _anticommutator3_closed(u1, u, u2):
 
 def _associator3(u1, u, u2):
     """<u1, u, u2> = ((u1 ub) u2 - u1 (ub u2)) / 2; zero for dim <= 4."""
-    return _half_sum(u1, u, u2, 1, (0, 3))
+    return _components(_word_values(u1, u2, u, (_E, _PLUS_STAR)))[1]
 
 
 def _associator3_alt(u1, u, u2):
     """Second half-sum form: (u2 (ub u1) - (u2 ub) u1) / 2."""
-    return _half_sum(u1, u, u2, 1, (1, 2))
+    return _components(_word_values(u1, u2, u, (_STAR, _PLUS)))[1]
 
 
 def _commutator3(u1, u, u2):
     """[u1, u, u2] = ((u1 ub) u2 - u2 (ub u1)) / 2, the triple cross product."""
-    return _half_sum(u1, u, u2, 3, (0, 2))
+    return _components(_word_values(u1, u2, u, (_E, _STAR)))[1]
 
 
 def _commutator3_alt(u1, u, u2):
     """Second half-difference form: (u1 (ub u2) - (u2 ub) u1) / 2."""
-    return _half_sum(u1, u, u2, 3, (1, 3))
+    return _components(_word_values(u1, u2, u, (_PLUS_STAR, _PLUS)))[1]
 
 
 def _commutator3_closed(u1, u, u2):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,6 +82,9 @@ class RunConfig:
     tolerance: Tolerance = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        for name, value in (("seed", self.seed), ("trials", self.trials)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.dims:

@@ -54,6 +54,9 @@ def test_run_config_validation():
         RunConfig(dims=())
     with pytest.raises(ValueError):
         RunConfig(dims=(3,))
+    for bad in ({"trials": 2.5}, {"trials": True}, {"seed": 1.5}, {"dims": (4.0,)}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
 
 
 def test_suite_registry_is_stable():

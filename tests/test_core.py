@@ -52,7 +52,7 @@ def test_unit_is_first_basis_vector():
         assert np.all(u.coeffs[1:] == 0.0)
 
 
-@pytest.mark.parametrize("dim", [0, 3, 5, 16, -1])
+@pytest.mark.parametrize("dim", [0, 3, 5, 16, -1, True, 4.0])
 def test_invalid_dimension_rejected(dim):
     with pytest.raises(DimensionError):
         unit(dim)
@@ -80,12 +80,14 @@ def test_non_real_coeffs_rejected(coeffs):
 
 
 @pytest.mark.parametrize("coeffs", ([1.5, True], [10**20, "5"], (2.0, np.bool_(False)),
-                                    [10**20, b"5"], np.array([1.5, True], dtype=object)),
+                                    [10**20, b"5"], np.array([1.5, True], dtype=object),
+                                    [1.5, None], [1.5, {}]),
                          ids=("bool_among_floats", "str_beside_a_big_int", "numpy_bool",
-                              "bytes_beside_a_big_int", "object_array"))
+                              "bytes_beside_a_big_int", "object_array", "none", "dict"))
 def test_a_bool_or_text_element_among_numbers_is_rejected(coeffs):
-    # numpy would take these as float64 [1.5, 1.0] or, through the object
-    # dtype, parse the text; Hyper.from_dict rejects the same elements
+    # numpy would take these as float64 [1.5, 1.0], parse the text through the
+    # object dtype, or fail on None or a dict with an error of its own;
+    # Hyper.from_dict rejects the same elements
     with pytest.raises(ValueError, match=r"coeffs\[1\] must be a real number"):
         Hyper(2, coeffs)
 
@@ -93,6 +95,11 @@ def test_a_bool_or_text_element_among_numbers_is_rejected(coeffs):
 def test_integer_coeffs_within_the_float_range_accepted():
     assert Hyper(2, [1, 10**20]).coeffs.tolist() == [1.0, 1e20]
     assert Hyper(2, [np.int64(3), np.int32(-2)]).coeffs.tolist() == [3.0, -2.0]
+
+
+def test_fractions_and_numpy_floats_accepted():
+    assert Hyper(2, [Fraction(1, 2), np.float32(0.25)]).coeffs.tolist() == [0.5, 0.25]
+    assert Hyper(np.int64(2), [1.0, 2.0]).dim == 2
 
 
 def test_coeffs_are_read_only():
