@@ -78,6 +78,14 @@ from .bridge import (
     okubo_bracket_display_residual,
     okubo_reconstruction_residual,
 )
-from .verify import RunConfig, VerificationReport, run_all
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the suite engine loads on first use, so a process that only computes
+    # neither compiles nor holds it
+    if name in ("RunConfig", "VerificationReport", "run_all"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

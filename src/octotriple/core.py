@@ -38,9 +38,12 @@ class DimensionError(ValueError):
 
 
 def _check_dim(dim: int) -> None:
-    # True == 1 and 4.0 == 4, so membership alone would let them through
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in VALID_DIMS:
-        raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
+    # True == 1 and 4.0 == 4, so membership alone would let them through; a
+    # plain int, the common case, needs only the membership test
+    if type(dim) is int or (not isinstance(dim, bool) and isinstance(dim, numbers.Integral)):
+        if dim in VALID_DIMS:
+            return
+    raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
 
 
 def _check_same_dim(a: "Hyper", b: "Hyper") -> None:
@@ -90,6 +93,20 @@ class Hyper:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         arr = np.array(self.coeffs)
+        # a float64 ndarray, the common case, needs only the shape and finiteness checks
+        if type(self.coeffs) is not np.ndarray or arr.dtype != np.float64:
+            arr = self._checked_float64(arr)
+        if arr.shape != (self.dim,):
+            raise ValueError(
+                f"coeffs must be a flat vector of {self.dim} entries, got shape {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coeffs must be finite (no NaN or infinity)")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    def _checked_float64(self, arr: np.ndarray) -> np.ndarray:
+        """arr, a copy of self.coeffs, as float64 if every entry is a real number."""
         kind = arr.dtype.kind
         if kind in "bcSU":  # float64 would count bools, drop imaginary parts, parse text
             raise ValueError(f"coeffs must be real numbers, got {arr.dtype} entries")
@@ -100,18 +117,10 @@ class Hyper:
                 if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
                     raise ValueError(f"coeffs[{k}] must be a real number, got {x!r}")
         try:
-            arr = arr.astype(np.float64, copy=False)
+            return arr.astype(np.float64, copy=False)
         except OverflowError:
             raise ValueError("coeffs must be finite, got an integer beyond the "
                              "float range") from None
-        if arr.shape != (self.dim,):
-            raise ValueError(
-                f"coeffs must be a flat vector of {self.dim} entries, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coeffs must be finite (no NaN or infinity)")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
 
     @classmethod
     def _wrap(cls, dim: int, arr: np.ndarray) -> "Hyper":
@@ -308,11 +317,12 @@ def _lift(array_form):
 
     It checks that its Hyper arguments share a dimension, calls the array
     form on their coefficient vectors (keyword arguments pass through), and
-    returns a Hyper for a vector result and a float for a 0-d one.
+    returns a Hyper for a vector result and a float for a scalar one, be it
+    0-d or already a Python float.
     """
     def public(*args: Hyper, **kwargs):
         out = array_form(*_coeffs(*args), **kwargs)
-        return float(out) if out.ndim == 0 else Hyper._wrap(args[0].dim, out)
+        return float(out) if np.ndim(out) == 0 else Hyper._wrap(args[0].dim, out)
 
     update_wrapper(public, array_form)
     public.__name__ = public.__qualname__ = array_form.__name__[1:]

@@ -174,12 +174,14 @@ def decompose_triple(u1: Hyper, u: Hyper, u2: Hyper) -> TripleDecomposition:
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinants of m[..., 3, 3] by cofactor expansion along the first row."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
+    """Determinants of m[..., 3, 3] by cofactor expansion along the first row.
+
+    The nine entries are unpacked once: one matrix gives Python scalars, whose
+    arithmetic rounds as the 0-d arrays' would without a ufunc call per
+    operation, and a block gives one (3, 3, ...) view."""
+    rows = m.tolist() if m.ndim == 2 else np.moveaxis(m, (-2, -1), (0, 1))
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def det3(entries: np.ndarray) -> float:
@@ -204,10 +206,15 @@ class GramMatrix:
         return det3(self.entries)
 
 
+def _rows3(u1, u, u2):
+    """(..., 3, dim): u1, u and u2 as the rows of one matrix, by one concatenate."""
+    return np.concatenate((u1, u, u2), axis=-1).reshape(*u1.shape[:-1], 3, u1.shape[-1])
+
+
 def _gram(u1, u, u2):
     """(..., 3, 3) matrices of (a, b) over a, b in (u1, u, u2)."""
-    x = np.stack((u1, u, u2), axis=-2)
-    return x @ np.swapaxes(x, -1, -2)
+    x = _rows3(u1, u, u2)
+    return x @ x.swapaxes(-1, -2)
 
 
 def _gram_imaginary(u1, u, u2):
@@ -254,8 +261,8 @@ anticommutative_component_norm_sq = _lift(_anticommutative_component_norm_sq)
 
 
 def _gram_det_imaginary_identity(u1, u, u2):
-    x = np.stack((u1, u, u2), axis=-2)
-    conjugated = x @ np.swapaxes(_conjugate(x), -1, -2)
+    x = _rows3(u1, u, u2)
+    conjugated = x @ _conjugate(x).swapaxes(-1, -2)
     lhs = _det3(_gram_imaginary(u1, u, u2))
     return lhs, (_det3(_gram(u1, u, u2)) - _det3(conjugated)) / 2
 

@@ -335,6 +335,22 @@ def test_hadamard_details_report_exploratory_count():
     assert isinstance(rep.details["column_set_preserving_count_order8"], int)
 
 
+def test_package_loads_the_suite_engine_on_first_use():
+    code = ("import sys, octotriple\n"
+            "assert 'octotriple.verify' not in sys.modules\n"
+            "from octotriple import RunConfig\n"
+            "assert octotriple.run_all is octotriple.verify.run_all\n"
+            "assert RunConfig is octotriple.verify.RunConfig\n"
+            "assert octotriple.VerificationReport is octotriple.verify.VerificationReport\n"
+            "try:\n"
+            "    octotriple.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "module 'octotriple' has no attribute 'no_such_name'\n"
+
+
 # -- CLI: verify -----------------------------------------------------------------
 
 

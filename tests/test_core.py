@@ -108,6 +108,55 @@ def test_coeffs_are_read_only():
         u.coeffs[0] = 5.0
 
 
+@pytest.fixture
+def checked_route_calls(monkeypatch):
+    """Arrays that `Hyper(...)` sent through its checked conversion route."""
+    calls = []
+    checked = Hyper._checked_float64
+
+    def spy(self, arr):
+        calls.append(arr.dtype)
+        return checked(self, arr)
+
+    monkeypatch.setattr(Hyper, "_checked_float64", spy)
+    return calls
+
+
+def test_float64_array_takes_the_short_route_and_is_copied(checked_route_calls):
+    src = RNG.standard_normal(4)
+    u = Hyper(4, src)
+    assert checked_route_calls == []
+    assert not np.shares_memory(u.coeffs, src) and src.flags.writeable
+    want = src.copy()
+    src[:] = 7.0
+    assert np.array_equal(u.coeffs, want)
+    assert not u.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        u.coeffs[0] = 5.0
+
+
+@pytest.mark.parametrize("coeffs", ([1.0, float("nan")], [float("-inf"), 0.0],
+                                    [[1.0, 2.0]], [1.0, 2.0, 3.0]),
+                         ids=("nan", "inf", "2-d", "wrong_length"))
+def test_short_route_rejects_as_the_checked_route_does(coeffs, checked_route_calls):
+    with pytest.raises(ValueError) as short:
+        Hyper(2, np.array(coeffs, dtype=np.float64))
+    assert checked_route_calls == []
+    with pytest.raises(ValueError) as checked:
+        Hyper(2, coeffs)
+    assert len(checked_route_calls) == 1
+    assert str(short.value) == str(checked.value)
+
+
+@pytest.mark.parametrize("coeffs", (np.array([0.5, 0.25], dtype=np.float32),
+                                    np.array([3, -2]), np.array([0.5, Fraction(1, 4)],
+                                                                dtype=object)),
+                         ids=("float32", "int", "object"))
+def test_other_arrays_take_the_checked_route(coeffs, checked_route_calls):
+    assert Hyper(2, coeffs).coeffs.tolist() == [float(x) for x in coeffs]
+    assert checked_route_calls == [coeffs.dtype]
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionError):
         multiply(unit(4), unit(8))

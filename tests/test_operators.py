@@ -94,6 +94,25 @@ def test_apply_matches_tabulated_forms(dim):
             vec_close(apply(op, word, u), tabulated_form(op, word, u), scale * norm(u))
 
 
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+@pytest.mark.parametrize("rows", (None, 5), ids=("vector", "block"))
+def test_word_values_of_any_words_are_rows_of_the_all_words_values(dim, rows):
+    # each call conjugates only the operands its words bar, so a subset must
+    # never read an operand slot that only another word would have filled
+    shape = (dim,) if rows is None else (rows, dim)
+    u1, u2, u = (RNG.standard_normal(shape) for _ in range(3))
+    every = operators._word_values(u1, u2, u)
+    for subset in range(1, 1 << len(ALL_WORDS)):
+        picked = [w for w in range(len(ALL_WORDS)) if subset >> w & 1]
+        for order in (picked, picked[::-1], list(RNG.permutation(picked))):
+            got = operators._word_values(u1, u2, u, tuple(ALL_WORDS[w] for w in order))
+            assert np.array_equal(got, every[order])
+    if rows is None:
+        op = TripleOperator(Hyper(dim, u1), Hyper(dim, u2))
+        for w, word in enumerate(ALL_WORDS):
+            assert np.array_equal(apply(op, word, Hyper(dim, u)).coeffs, every[w])
+
+
 def test_derived_triple_word_composes_from_tabulated_rows():
     # +*v is not tabulated; it must equal the v rewrite of the tabulated +*
     # form u1 (conj(u) u2): swap the central bar, then conjugate the product.

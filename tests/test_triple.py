@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from octotriple.core import (
 from octotriple.hadamard import build
 from octotriple.triple import (
     GramMatrix,
+    _det3,
     anticommutative_component_norm_sq,
     anticommutator3,
     anticommutator3_alt,
@@ -375,6 +378,48 @@ def test_det3_matches_numpy():
     for _ in range(20):
         m = RNG.standard_normal((3, 3))
         assert abs(det3(m) - np.linalg.det(m)) <= 1e-10
+
+
+def _det3_blocks():
+    fractions = [Fraction(int(p), int(q)) for p, q in zip(RNG.integers(-50, 50, 9 * 32),
+                                                           RNG.integers(1, 20, 9 * 32))]
+    overflowing = RNG.choice((-1e200, 1e200), (32, 3, 3)) * RNG.uniform(0.5, 2, (32, 3, 3))
+    # in the first half every product overflows and infinities cancel to NaN; in
+    # the second the minors stay finite and only the first-row products overflow
+    overflowing[16:, 1:] *= 1e-50
+    return {
+        "random": RNG.standard_normal((32, 3, 3)),
+        "overflowing": overflowing,
+        "fraction": np.array(fractions, dtype=object).reshape(32, 3, 3),
+    }
+
+
+@pytest.mark.parametrize("kind", ("random", "overflowing", "fraction"))
+def test_det3_of_one_matrix_is_its_row_of_the_block(kind):
+    # one matrix is unpacked to Python scalars, a block to one view of arrays
+    block = _det3_blocks()[kind]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _det3(block)
+        ones = [_det3(m) for m in block]
+    assert rows.shape == (len(block),)
+    if kind == "fraction":   # exact: isnan has no object loop, and nothing is NaN
+        assert all(isinstance(x, Fraction) for x in ones)
+        assert np.array_equal(np.array(ones, dtype=object), rows)
+    else:
+        assert np.array_equal(ones, rows, equal_nan=True)
+    if kind == "overflowing":
+        assert np.isnan(rows).any() and np.isinf(rows).any()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_det3_and_the_lengths_return_float(dim):
+    u1, u, u2 = (Hyper(dim, RNG.standard_normal(dim)) for _ in range(3))
+    assert type(det3(RNG.standard_normal((3, 3)))) is float
+    assert type(gram(u1, u, u2).det()) is float
+    assert all(type(x) is float for x in gram_det_imaginary_identity(u1, u, u2))
+    for length in (anticommutator3_norm_sq, commutator3_norm_sq, associator3_norm_sq,
+                   anticommutative_component_norm_sq):
+        assert type(length(u1, u, u2)) is float
 
 
 def test_length_formulas_trivial_triples():
