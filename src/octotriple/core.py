@@ -37,13 +37,16 @@ class DimensionError(ValueError):
     """Invalid algebra dimension, or operands of different dimensions."""
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool.  True == 1 and 4.0 == 4, so a
+    membership or range test alone would let them through; a plain int, the
+    common case, needs only the type test."""
+    return type(x) is int or (not isinstance(x, bool) and isinstance(x, numbers.Integral))
+
+
 def _check_dim(dim: int) -> None:
-    # True == 1 and 4.0 == 4, so membership alone would let them through; a
-    # plain int, the common case, needs only the membership test
-    if type(dim) is int or (not isinstance(dim, bool) and isinstance(dim, numbers.Integral)):
-        if dim in VALID_DIMS:
-            return
-    raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
+    if not (_is_integer(dim) and dim in VALID_DIMS):
+        raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
 
 
 def _check_same_dim(a: "Hyper", b: "Hyper") -> None:
@@ -140,8 +143,8 @@ class Hyper:
     def basis(cls, dim: int, index: int) -> "Hyper":
         """Basis element i_index of the given dimension."""
         _check_dim(dim)
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index must be in [0, {dim}), got {index}")
+        if not (_is_integer(index) and 0 <= index < dim):
+            raise ValueError(f"basis index must be an integer in [0, {dim}), got {index!r}")
         arr = np.zeros(dim)
         arr[index] = 1.0
         return cls._wrap(dim, arr)

@@ -21,7 +21,14 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
+from .core import _is_integer
+
 VALID_ORDERS = (2, 4, 8)
+
+
+def _check_order(n: int) -> None:
+    if not (_is_integer(n) and n in VALID_ORDERS):
+        raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +39,7 @@ class SignMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n not in VALID_ORDERS:
-            raise ValueError(f"order must be one of {VALID_ORDERS}, got {self.n!r}")
+        _check_order(self.n)
         arr = np.array(self.entries, dtype=np.int64)
         if arr.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got shape {arr.shape}")
@@ -64,7 +70,9 @@ class RowPermutation:
 
     def __post_init__(self) -> None:
         n = len(self.map)
-        if sorted(self.map) != list(range(n)):
+        # integers only: 1.0 and True would pass the sorted test, and numpy
+        # reads a bool index array as a mask
+        if not all(_is_integer(i) for i in self.map) or sorted(self.map) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.map!r}")
 
     def compose(self, other: "RowPermutation") -> "RowPermutation":
@@ -98,8 +106,7 @@ class RowPermutation:
 
 def build(n: int) -> SignMatrix:
     """Sylvester-doubling Hadamard matrix: entry[g][h] = (-1)^popcount(g & h)."""
-    if n not in VALID_ORDERS:
-        raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
+    _check_order(n)
     h = np.ones((1, 1), dtype=np.int64)
     while len(h) < n:
         h = np.block([[h, h], [h, -h]])
@@ -116,8 +123,7 @@ def transform(values: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(values)
     n = x.shape[0]
-    if n not in VALID_ORDERS:
-        raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
+    _check_order(n)
     h = n // 2
     rows = x.reshape(n, -1)
     for _ in range(h.bit_length()):

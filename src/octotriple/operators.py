@@ -10,17 +10,19 @@ three commuting involutions:
 
 Words over {+, *, v} form the group (Z/2)^3; every transformed operator
 has a closed form of the shape (x c) y or x (c y) with optionally
-conjugated factors.  The closed forms are not hard-coded per word: they
-are derived mechanically from the generator rewrites, and the derivation
-fails loudly unless the table is closed under every rewrite; that
-closure proves that the rewrites commute.  With word w numbered by its
-bits (+ = 1, * = 2, v = 4), the components are the rows of one Sylvester
-transform of the word values, scaled by 1/8: row g averages the eight
-transformed operators with the sign pattern ALL_SIGN_TRIPLES[g] and
-scales by the corresponding eps under each involution.  Composing every
-word with a generator permutes the word values by w -> w xor bit.  The
-transform of the four two-op values over {+, *}, scaled by 1/4,
-reproduces the triple anticommutator, associator and commutator.
+conjugated factors, held once as the plan its word values evaluate:
+three factor slots and a bracketing.  The plans are not hard-coded per
+word: the generator rewrites act on the plan of (u1 conj(u)) u2, and
+the derivation fails loudly unless the eight plans are distinct and
+closed under every rewrite; that closure proves that the rewrites
+commute.  With word w numbered by its bits (+ = 1, * = 2, v = 4), the
+components are the rows of one Sylvester transform of the word values,
+scaled by 1/8: row g averages the eight transformed operators with the
+sign pattern ALL_SIGN_TRIPLES[g] and scales by the corresponding eps
+under each involution.  Composing every word with a generator permutes
+the word values by w -> w xor bit.  The transform of the four two-op
+values over {+, *}, scaled by 1/4, reproduces the triple
+anticommutator, associator and commutator.
 """
 
 from __future__ import annotations
@@ -93,76 +95,59 @@ ALL_SIGN_TRIPLES = tuple(
 # -- closed-form derivation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Form:
-    """Template (x c) y or x (c y): which parameter sits left, which factors
-    carry a conjugation bar, and the bracketing."""
-
-    left: int            # 1 or 2: index of the parameter in the left slot
-    bar_left: bool
-    bar_central: bool    # True: central factor is conj(u); False: plain u
-    bar_right: bool
-    left_assoc: bool     # True: (left central) right; False: left (central right)
+# A plan (x, c, y, left_assoc) is the closed form (x c) y, or x (c y) when
+# left_assoc is False; each factor is its slot in
+# (u1, u2, u, conj(u1), conj(u2), conj(u)), so a bar moves a slot by 3.
+_BASE_PLAN = (0, 5, 1, True)            # (u1 conj(u)) u2
+_SWAP = (1, 0, 2, 4, 3, 5)              # u1 <-> u2, bars kept
 
 
-_BASE_FORM = _Form(left=1, bar_left=False, bar_central=True, bar_right=False, left_assoc=True)
-
-
-def _gen_plus(f: _Form) -> _Form:
+def _gen_plus(p: tuple) -> tuple:
     # Hermitian conjugation swaps the parameter subscripts in place.
-    return _Form(3 - f.left, f.bar_left, f.bar_central, f.bar_right, f.left_assoc)
+    x, c, y, left_assoc = p
+    return _SWAP[x], c, _SWAP[y], left_assoc
 
 
-def _gen_star(f: _Form) -> _Form:
+def _gen_star(p: tuple) -> tuple:
     # Order inversion reverses the three factors: (x c) y -> y (c x).
-    return _Form(3 - f.left, f.bar_right, f.bar_central, f.bar_left, not f.left_assoc)
+    x, c, y, left_assoc = p
+    return y, c, x, not left_assoc
 
 
-def _conjugate_form(f: _Form) -> _Form:
-    # conj((x c) y) = conj(y) (conj(c) conj(x)): reverse, bar every factor.
-    return _Form(3 - f.left, not f.bar_right, not f.bar_central, not f.bar_left,
-                 not f.left_assoc)
-
-
-def _gen_vee(f: _Form) -> _Form:
-    # Replace the central argument by its conjugate, then conjugate the product.
-    toggled = _Form(f.left, f.bar_left, not f.bar_central, f.bar_right, f.left_assoc)
-    return _conjugate_form(toggled)
+def _gen_vee(p: tuple) -> tuple:
+    # Replace the central argument by its conjugate, then conjugate the product:
+    # conj((x conj(c)) y) = conj(y) (c conj(x)), so the two bars on c cancel.
+    x, c, y, left_assoc = p
+    return (y + 3) % 6, c, (x + 3) % 6, not left_assoc
 
 
 # in bit order: generator k sets bit 1 << k of a word's index in ALL_WORDS
 _GENERATORS = {"plus": _gen_plus, "star": _gen_star, "vee": _gen_vee}
 
 
-def _derive_forms() -> dict[OpWord, _Form]:
-    """Derive the closed form of every word from the generator rewrites.
+def _derive_plans() -> dict[OpWord, tuple]:
+    """Derive the plan of every word from the generator rewrites.
 
     Word b is the rewrite of b without its lowest generator by that generator.
-    Closure of the distinct forms under every rewrite makes every generator
-    order, repeats included, give one form: commutativity is checked, not assumed.
+    Closure of the distinct plans under every rewrite makes every generator
+    order, repeats included, give one plan: commutativity is checked, not assumed.
     """
     gens = tuple(_GENERATORS.values())
-    forms = {IDENTITY_WORD: _BASE_FORM}
+    plans = {IDENTITY_WORD: _BASE_PLAN}
     for b in range(1, len(ALL_WORDS)):
         low = b & -b
-        forms[ALL_WORDS[b]] = gens[low.bit_length() - 1](forms[ALL_WORDS[b ^ low]])
-    if len(set(forms.values())) != len(ALL_WORDS):
+        plans[ALL_WORDS[b]] = gens[low.bit_length() - 1](plans[ALL_WORDS[b ^ low]])
+    if len(set(plans.values())) != len(ALL_WORDS):
         raise RuntimeError("derived closed forms are not pairwise distinct")
     for word in ALL_WORDS:
         for name, gen in _GENERATORS.items():
             stepped = word.compose(OpWord(**{name: True}))
-            if gen(forms[word]) != forms[stepped]:
+            if gen(plans[word]) != plans[stepped]:
                 raise RuntimeError(f"rewrite of {word.label} by {name} is not {stepped.label}")
-    return forms
+    return plans
 
 
-_FORMS = _derive_forms()
-
-
-# each word's (left, central, right, left_assoc), a factor being its slot in
-# (u1, u2, u, conj(u1), conj(u2), conj(u))
-_PLANS = {word: (f.left - 1 + 3 * f.bar_left, 2 + 3 * f.bar_central,
-                 2 - f.left + 3 * f.bar_right, f.left_assoc) for word, f in _FORMS.items()}
+_PLANS = _derive_plans()
 
 
 # -- the operator ------------------------------------------------------------

@@ -58,6 +58,18 @@ def test_invalid_dimension_rejected(dim):
         unit(dim)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, np.float64(2.0), "1", -1, 4])
+def test_invalid_basis_index_rejected(index):
+    # numpy reads True as a mask, so basis(4, True) was the all-ones vector
+    with pytest.raises(ValueError, match="basis index must be an integer"):
+        Hyper.basis(4, index)
+
+
+def test_basis_accepts_numpy_integers():
+    assert np.array_equal(Hyper.basis(4, np.int64(2)).coeffs, [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(Hyper.basis(2, np.uint8(1)).coeffs, [0.0, 1.0])
+
+
 def test_wrong_length_coeffs_rejected():
     with pytest.raises(ValueError):
         Hyper(4, [1.0, 2.0])

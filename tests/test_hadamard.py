@@ -48,8 +48,8 @@ def test_build_is_normalized_symmetric_hadamard(n):
 
 
 def test_build_rejects_bad_orders():
-    for n in (1, 3, 6, 16):
-        with pytest.raises(ValueError):
+    for n in (1, 3, 6, 16, 2.0, 4.0, np.float64(8.0), True, "4"):
+        with pytest.raises(ValueError, match="order must be one of"):
             build(n)
 
 
@@ -83,6 +83,9 @@ def test_sign_matrix_validation():
         SignMatrix(4, np.ones((4, 2)))
     with pytest.raises(ValueError):
         SignMatrix(3, np.ones((3, 3)))
+    # a float order would pass the membership test and then break row_group_check
+    with pytest.raises(ValueError, match="order must be one of"):
+        SignMatrix(4.0, np.ones((4, 4)))
 
 
 def test_render():
@@ -108,8 +111,10 @@ def test_flipped_sign_breaks_row_group():
 
 
 def test_row_permutation_validation_and_algebra():
-    with pytest.raises(ValueError):
-        RowPermutation((0, 0, 1))
+    # (True, False) would otherwise index a matrix as a boolean mask
+    for bad in ((0, 0, 1), (0.0, 1.0), (True, False), (np.float64(1), 0), ("0", "1")):
+        with pytest.raises(ValueError, match="not a permutation"):
+            RowPermutation(bad)
     p = RowPermutation((1, 2, 0))
     q = p.inverse()
     assert q.map == (2, 0, 1)
@@ -117,6 +122,15 @@ def test_row_permutation_validation_and_algebra():
     assert p.cycle_notation() == "(0 1 2)"
     assert RowPermutation((0, 1, 2)).cycle_notation() == "()"
     assert RowPermutation((1, 0, 3, 2)).cycle_notation() == "(0 1)(2 3)"
+
+
+
+def test_orders_and_permutations_accept_numpy_integers():
+    m = build(np.int64(4))
+    np.testing.assert_array_equal(m.entries, A4_PRINTED)
+    assert row_group_check(SignMatrix(np.int32(4), A4_PRINTED))
+    p = RowPermutation((np.int64(1), np.int64(0)))
+    np.testing.assert_array_equal(build(2).permuted_rows(p).entries, [[1, -1], [1, 1]])
 
 
 def test_identity_permutation_always_preserves_columns():

@@ -1,15 +1,24 @@
 """The verifier must reject a wrong algebra, not only pass the right one.
 
-Mutant class: one entry of the product sign table flipped.  Each of the
-1 + 4 + 16 + 64 entries at dims 1, 2, 4 and 8 is flipped in turn by
-monkeypatching `core._product_tables`, and the core suite alone must fail
-on the mutated product.
+Two mutant classes, each applied by monkeypatching:
+
+- one entry of the product sign table flipped.  Each of the 1 + 4 + 16 + 64
+  entries at dims 1, 2, 4 and 8 is flipped in turn in
+  `core._product_tables`, and the core suite alone must fail on the
+  mutated product;
+- one derived closed form broken.  Each word's plan in `operators._PLANS`
+  has one of its three bars toggled, at dims 2, 4 and 8 (conjugation is
+  the identity at dim 1), or, at dim 8 only, its bracketing swapped (the
+  product is associative at dims up to 4).  The per-trial suites together
+  must fail on every such plan.
 """
 
 import pytest
 
-from octotriple import core
-from octotriple.verify import RunConfig, run_all
+from octotriple import core, operators
+from octotriple.verify import _SUITES, RunConfig, run_all
+
+PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.per_trial is not None)
 
 
 def _flipped_tables(dim, i, k):
@@ -32,4 +41,27 @@ def test_core_suite_catches_every_sign_flip(dim, monkeypatch):
                 m.setattr(core, "_product_tables", _flipped_tables(dim, i, k))
                 if all(r.passed for r in run_all(config, suites=("core",))):
                     missed.append((i, k))
+    assert missed == []
+
+
+def _plan_mutants(dim):
+    """(word, mutant plan): each plan with one factor's bar toggled, and at
+    dim 8 with its bracketing swapped."""
+    for word, plan in operators._PLANS.items():
+        for k in range(3):
+            yield word, plan[:k] + ((plan[k] + 3) % 6,) + plan[k + 1:]
+        if dim == 8:
+            yield word, plan[:3] + (not plan[3],)
+
+
+@pytest.mark.parametrize("dim", (2, 4, 8))
+def test_per_trial_suites_catch_every_plan_mutant(dim, monkeypatch):
+    config = RunConfig(seed=1, trials=4, dims=(dim,))
+    assert all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES))
+    missed = []
+    for word, mutant in _plan_mutants(dim):
+        with monkeypatch.context() as m:
+            m.setitem(operators._PLANS, word, mutant)
+            if all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES)):
+                missed.append((word.label, mutant))
     assert missed == []

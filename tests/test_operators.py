@@ -11,7 +11,7 @@ from octotriple.operators import (
     SignTriple,
     TripleOperator,
     TWO_OP_WORDS,
-    _FORMS,
+    _PLANS,
     adjoint_residual,
     apply,
     component2,
@@ -133,7 +133,7 @@ def test_derived_triple_word_is_left_bracketed_swap():
 
 
 def test_forms_are_distinct_and_form_a_group():
-    assert len(set(_FORMS.values())) == 8
+    assert len(set(_PLANS.values())) == 8
     # single-word involutions at the form level
     for gen in (OpWord(plus=True), OpWord(star=True), OpWord(vee=True)):
         for word in ALL_WORDS:
@@ -145,19 +145,18 @@ def test_derivation_rejects_a_rewrite_that_does_not_commute(monkeypatch):
     # of u1 and the other of u2, so it no longer commutes with +
     star = operators._GENERATORS["star"]
 
-    def star_barring_central(f):
-        g = star(f)
-        toggle = (f.left == 1) != f.left_assoc
-        return operators._Form(g.left, g.bar_left, g.bar_central ^ toggle, g.bar_right,
-                               g.left_assoc)
+    def star_barring_central(p):
+        x, c, y, left_assoc = star(p)
+        toggle = (p[0] % 3 == 0) != p[3]    # u1 or conj(u1) on the left
+        return x, (c + 3 * toggle) % 6, y, left_assoc
 
-    base, plus = operators._BASE_FORM, operators._GENERATORS["plus"]
+    base, plus = operators._BASE_PLAN, operators._GENERATORS["plus"]
     assert star_barring_central(star_barring_central(base)) == base
     assert star_barring_central(plus(base)) != plus(star_barring_central(base))
-    assert operators._derive_forms() == _FORMS
+    assert operators._derive_plans() == _PLANS
     monkeypatch.setitem(operators._GENERATORS, "star", star_barring_central)
     with pytest.raises(RuntimeError, match="rewrite of"):
-        operators._derive_forms()
+        operators._derive_plans()
 
 
 def test_double_application_of_each_involution_is_identity():

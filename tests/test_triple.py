@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,15 @@ def test_gram_is_symmetric_and_psd():
 def test_gram_matrix_validation():
     with pytest.raises(ValueError):
         GramMatrix(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (2, 3, 3), (9,), (3,), (3, 4), ()))
+def test_det3_and_gram_matrix_reject_every_other_shape(shape):
+    message = re.escape(f"3x3 matrix, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        det3(np.ones(shape))
+    with pytest.raises(ValueError, match=message):
+        GramMatrix(np.ones(shape))
 
 
 def test_det3_matches_numpy():
