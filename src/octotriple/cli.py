@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  verify      run the verification suites (all, or those named by --suites)
-              with deterministic randomness
+  verify      run the verification suites, the one subcommand that loads them
+              (`octotriple.verify`); options left out take `RunConfig`'s and
+              `run_all`'s defaults, and `run_all` lists the suites if one is unknown
   decompose   split a user-supplied triple into its three orthogonal parts
   hadamard    render a sign matrix and, for order 8, its permutation counts
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DimensionError, Hyper, Tolerance, norm_sq
+from .core import DimensionError, Hyper, Tolerance, norm_sq
 from .hadamard import (
     VALID_ORDERS,
     build,
@@ -34,7 +35,6 @@ from .triple import (
     commutator3_norm_sq,
     decompose_triple,
 )
-from .verify import SUITE_NAMES, RunConfig, run_all
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -45,12 +45,18 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import RunConfig, run_all
+
+    given = vars(args)   # the options set on the command line; the rest keep their defaults
+    config = {k: given[k] for k in ("seed", "trials", "dims") if k in given}
+    tol = {k: given[k] for k in ("rel", "abs") if k in given}
+    suites = {k: given[k] for k in ("suites",) if k in given}
     try:
-        tol = Tolerance(rel=args.rel_tol, abs=args.abs_tol)
-        config = RunConfig(seed=args.seed, trials=args.trials, dims=args.dims, tolerance=tol)
+        if tol:
+            config["tolerance"] = Tolerance(**tol)
+        reports = run_all(RunConfig(**config), **suites)
     except ValueError as exc:
         parser.error(str(exc))
-    reports = run_all(config, suites=tuple(args.suites))
     if args.json:
         for rep in reports:
             print(rep.to_json())
@@ -117,14 +123,15 @@ def _cmd_decompose(args, parser) -> int:
 
 
 def _cmd_hadamard(args, parser) -> int:
-    if args.perms and args.order != 8:
-        parser.error("--perms requires order 8")
     if args.list_symmetric and not args.perms:
         parser.error("--list-symmetric requires --perms")
-    m = build(args.order)
+    try:
+        m = build(args.order)
+        perms = doubling_order_permutations(m) if args.perms else []
+    except ValueError as exc:
+        parser.error(str(exc))
     print(m.render())
     if args.perms:
-        perms = doubling_order_permutations(m)
         keep = symmetric_mask(permuted_stack(perms, m))
         symmetric = [p for p, k in zip(perms, keep) if k]
         print(f"automorphism perms: {len(perms)}, symmetric: {len(symmetric)}, "
@@ -143,18 +150,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = subs.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--seed", type=int, default=RunConfig.seed,
-                          help="base seed (default: %(default)s)")
-    p_verify.add_argument("--trials", type=int, default=RunConfig.trials,
-                          help="trials per suite")
-    p_verify.add_argument("--dims", type=_parse_dims, default=RunConfig.dims,
-                          help="comma-separated dimensions, e.g. 4,8")
-    p_verify.add_argument("--rel-tol", type=float, default=DEFAULT_TOLERANCE.rel)
-    p_verify.add_argument("--abs-tol", type=float, default=DEFAULT_TOLERANCE.abs)
-    p_verify.add_argument("--suites", nargs="+", choices=SUITE_NAMES, default=SUITE_NAMES,
-                          help="suites to run (default: all)")
-    p_verify.add_argument("--json", action="store_true", help="emit JSON reports")
+    p_verify = subs.add_parser("verify", help="run the verification suites",
+                               argument_default=argparse.SUPPRESS)
+    p_verify.add_argument("--seed", type=int, help="base seed")
+    p_verify.add_argument("--trials", type=int, help="trials per suite")
+    p_verify.add_argument("--dims", type=_parse_dims, help="comma-separated dimensions, e.g. 4,8")
+    p_verify.add_argument("--rel-tol", dest="rel", type=float, help="relative tolerance")
+    p_verify.add_argument("--abs-tol", dest="abs", type=float, help="absolute tolerance")
+    p_verify.add_argument("--suites", nargs="+", metavar="SUITE",
+                          help="suites to run (default: all); an unknown name lists them")
+    p_verify.add_argument("--json", action="store_true", default=False, help="emit JSON reports")
 
     p_dec = subs.add_parser("decompose", help="decompose a triple given as JSON")
     p_dec.add_argument("input",
@@ -162,8 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                             "either [u1, u, u2] or {\"u1\":..., \"u\":..., \"u2\":...}")
 
     p_had = subs.add_parser("hadamard", help="render a sign matrix and its symmetries")
-    p_had.add_argument("order", type=int, choices=VALID_ORDERS,
-                       help="matrix order: 2, 4 or 8")
+    p_had.add_argument("order", type=int, help=f"matrix order, one of {VALID_ORDERS}")
     p_had.add_argument("--perms", action="store_true",
                        help="print permutation-symmetry counts (order 8 only)")
     p_had.add_argument("--list-symmetric", action="store_true",

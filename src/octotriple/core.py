@@ -95,35 +95,39 @@ class Hyper:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
-        arr = np.array(self.coeffs)
+        try:
+            arr = np.array(self.coeffs)
+        except ValueError:   # ragged: the checked route names the entry that is a sequence
+            arr = np.array(self.coeffs, dtype=object)
         # a float64 ndarray, the common case, needs only the shape and finiteness checks
         if type(self.coeffs) is not np.ndarray or arr.dtype != np.float64:
             arr = self._checked_float64(arr)
         if arr.shape != (self.dim,):
-            raise ValueError(
-                f"coeffs must be a flat vector of {self.dim} entries, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coeffs must be finite (no NaN or infinity)")
+            raise ValueError(f"coeffs must be a flat vector of {self.dim} entries, "
+                             f"got shape {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise ValueError(f"coeffs[{k}] must be finite, got {arr[k]}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     def _checked_float64(self, arr: np.ndarray) -> np.ndarray:
-        """arr, a copy of self.coeffs, as float64 if every entry is a real number."""
-        kind = arr.dtype.kind
-        if kind in "bcSU":  # float64 would count bools, drop imaginary parts, parse text
-            raise ValueError(f"coeffs must be real numbers, got {arr.dtype} entries")
-        # a bool, text or other object mixed into a sequence of numbers leaves
-        # no trace in the dtype; a numeric ndarray's dtype, checked above, already tells
-        if arr.ndim == 1 and (kind == "O" or not isinstance(self.coeffs, np.ndarray)):
-            for k, x in enumerate(self.coeffs):
-                if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-                    raise ValueError(f"coeffs[{k}] must be a real number, got {x!r}")
-        try:
-            return arr.astype(np.float64, copy=False)
-        except OverflowError:
-            raise ValueError("coeffs must be finite, got an integer beyond the "
-                             "float range") from None
+        """self.coeffs (read by numpy as arr) as float64 if each entry is a real
+        number in the float range: entry by entry, as a cast counts bools and parses text."""
+        if arr.ndim != 1:
+            return arr   # not a flat vector, which the shape check rejects
+        values = []
+        for k, x in enumerate(self.coeffs):
+            if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+                raise ValueError(f"coeffs[{k}] must be a real number, got {x!r} "
+                                 "(coeffs are real numbers, not bools or text)")
+            try:
+                values.append(float(x))
+            except OverflowError:
+                raise ValueError(f"coeffs[{k}] must be finite, got a number beyond "
+                                 "the float range") from None
+        return np.array(values)
 
     @classmethod
     def _wrap(cls, dim: int, arr: np.ndarray) -> "Hyper":
@@ -199,27 +203,12 @@ class Hyper:
     def from_dict(cls, obj: object) -> "Hyper":
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-        try:
-            dim = obj["dim"]
-        except KeyError:
-            raise ValueError("missing field 'dim'") from None
-        try:
-            coeffs = obj["coeffs"]
-        except KeyError:
-            raise ValueError("missing field 'coeffs'") from None
-        if not isinstance(coeffs, list):
+        for field in ("dim", "coeffs"):
+            if field not in obj:
+                raise ValueError(f"missing field {field!r}")
+        if not isinstance(obj["coeffs"], list):
             raise ValueError("field 'coeffs' must be an array of numbers")
-        for k, x in enumerate(coeffs):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValueError(f"field 'coeffs[{k}]' must be a number, got {x!r}")
-            try:
-                finite = math.isfinite(x)
-            except OverflowError:
-                raise ValueError(f"field 'coeffs[{k}]' must be finite, got an integer "
-                                 "beyond the float range") from None
-            if not finite:
-                raise ValueError(f"field 'coeffs[{k}]' must be finite, got {x!r}")
-        return cls(dim, coeffs)
+        return cls(obj["dim"], obj["coeffs"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)

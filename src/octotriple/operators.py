@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyper, _check_same_dim, _coeffs, _conjugate, _inner, _multiply, _norm
+from .core import Hyper, _check_same_dim, _coeffs, _conjugate, _inner, _is_integer, _multiply, _norm
 # `multiply` stays bound in this module as it was before the array forms: the
 # benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
 # package that binds it.
@@ -46,6 +46,11 @@ class OpWord:
     plus: bool = False
     star: bool = False
     vee: bool = False
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
 
     def compose(self, other: "OpWord") -> "OpWord":
         return OpWord(self.plus ^ other.plus, self.star ^ other.star, self.vee ^ other.vee)
@@ -72,9 +77,9 @@ class SignTriple:
     eps_vee: int
 
     def __post_init__(self) -> None:
-        for name in ("eps_plus", "eps_star", "eps_vee"):
-            if getattr(self, name) not in (-1, 1):
-                raise ValueError(f"{name} must be +1 or -1, got {getattr(self, name)!r}")
+        for name, value in vars(self).items():
+            if not (_is_integer(value) and value in (-1, 1)):
+                raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
     @property
     def label(self) -> str:

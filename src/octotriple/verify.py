@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +54,7 @@ from .core import (
     _conjugate,
     _imaginary_part,
     _inner,
+    _is_integer,
     _json_float,
     _multiply,
     _norm,
@@ -83,7 +83,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("trials", self.trials)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")

@@ -430,7 +430,28 @@ def test_cli_verify_rejects_unknown_suite():
     res = run_cli("verify", "--trials", "1", "--dims", "4", "--suites", "bridge", "nope")
     assert res.returncode == 2
     assert "nope" in res.stderr
+    assert "decomposition" in res.stderr   # the message lists the valid suites
     assert res.stdout == ""
+
+
+def test_cli_verify_help_prints_no_placeholder_default():
+    res = run_cli("verify", "--help")
+    assert res.returncode == 0
+    assert "--rel-tol" in res.stdout
+    assert "SUPPRESS" not in res.stdout and "None" not in res.stdout
+
+
+def test_cli_loads_the_suite_engine_only_for_verify():
+    code = ("import sys\n"
+            "from octotriple import cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    cli.main(argv.split('|'))\n"
+            "print('octotriple.verify' in sys.modules)\n")
+    for argv, loaded in ((["hadamard|2", "decompose|" + QUATERNION_TRIPLE], False),
+                         (["verify|--trials|1|--dims|1"], True)):
+        res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_cli_compare_is_gone():

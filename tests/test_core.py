@@ -104,6 +104,14 @@ def test_a_bool_or_text_element_among_numbers_is_rejected(coeffs):
         Hyper(2, coeffs)
 
 
+@pytest.mark.parametrize("coeffs", ([1, "x"], [1, float("nan")], [1, float("-inf")],
+                                    [1, 10**400], [1, [2, 3]]),
+                         ids=("text", "nan", "infinity", "integer_beyond_float_range", "ragged"))
+def test_a_rejected_element_is_named_by_its_index(coeffs):
+    with pytest.raises(ValueError, match=r"^coeffs\[1\] must be"):
+        Hyper(2, coeffs)
+
+
 def test_integer_coeffs_within_the_float_range_accepted():
     assert Hyper(2, [1, 10**20]).coeffs.tolist() == [1.0, 1e20]
     assert Hyper(2, [np.int64(3), np.int32(-2)]).coeffs.tolist() == [3.0, -2.0]
@@ -475,6 +483,7 @@ def test_json_round_trip_random(u):
                  id="integer_beyond_float_range"),
     ('[1, 2]', "object"),
     ('{"dim": true, "coeffs": [1]}', "dim"),
+    pytest.param('{"dim": 2, "coeffs": [1, [2, 3]]}', "coeffs[1]", id="ragged_nested_list"),
 ])
 def test_json_rejects_malformed(payload, fragment):
     with pytest.raises(ValueError) as err:

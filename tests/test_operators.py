@@ -55,6 +55,37 @@ def test_sign_triple_validation():
     assert SignTriple(1, -1, 1).label == "(+1,-1,+1)"
 
 
+@pytest.mark.parametrize("signs", ((True, 1, 1), (1, 1.0, 1), (1, -1.0, 1),
+                                   (1, np.bool_(True), 1)),
+                         ids=("bool", "float", "negative_float", "numpy_bool"))
+def test_sign_triple_takes_integers_only(signs):
+    # True == 1 and 1.0 == 1, so a membership test alone would keep them
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        SignTriple(*signs)
+    with pytest.raises(ValueError):
+        component2(random_op(4), *signs[:2], unit(4))
+
+
+def test_sign_triple_accepts_numpy_integers():
+    signs = SignTriple(np.int64(1), np.int8(-1), np.uint8(1))
+    assert signs.label == "(+1,-1,+1)"
+    assert signs in ALL_SIGN_TRIPLES
+
+
+@pytest.mark.parametrize("flags", ({"plus": 2}, {"star": 1}, {"vee": "yes"}, {"plus": None}))
+def test_op_word_flags_are_bools(flags):
+    with pytest.raises(ValueError, match="must be a bool"):
+        OpWord(**flags)
+
+
+def test_op_word_accepts_numpy_bools():
+    word = OpWord(plus=np.bool_(True), vee=np.bool_(False))
+    assert word == OpWord(plus=True)
+    op, u = random_op(4), rand(4)
+    np.testing.assert_array_equal(apply(op, word, u).coeffs,
+                                  apply(op, OpWord(plus=True), u).coeffs)
+
+
 def test_operator_requires_matching_parameter_dims():
     with pytest.raises(DimensionError):
         TripleOperator(unit(4), unit(8))
