@@ -105,11 +105,11 @@ class Hyper:
         if arr.shape != (self.dim,):
             raise ValueError(f"coeffs must be a flat vector of {self.dim} entries, "
                              f"got shape {arr.shape}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            k = int(finite.argmin())
+        # Python floats test finiteness without a ufunc call; the index is found on failure
+        if not all(map(math.isfinite, arr.tolist())):
+            k = int(np.isfinite(arr).argmin())
             raise ValueError(f"coeffs[{k}] must be finite, got {arr[k]}")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
     def _checked_float64(self, arr: np.ndarray) -> np.ndarray:
@@ -133,7 +133,7 @@ class Hyper:
     def _wrap(cls, dim: int, arr: np.ndarray) -> "Hyper":
         # Fast path for freshly computed float64 arrays; skips validation.
         obj = object.__new__(cls)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(obj, "dim", dim)
         object.__setattr__(obj, "coeffs", arr)
         return obj
@@ -252,11 +252,12 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bilinear product under the pinned doubling rule.
 
     Two vectors take one gather of b by the XOR table, one product with the
-    sign table and one vector-matrix product; blocks take the same gather of
-    b[..., xor] and one batched matmul."""
+    sign table and one vector-matrix product by the `dot` method, which rounds
+    as `@` does without the matmul ufunc machinery; blocks take the same
+    gather of b[..., xor] and one batched matmul."""
     xor, sign = _product_tables(a.shape[-1])
     if a.ndim == 1 and b.ndim == 1:
-        return a @ (sign * b[xor])
+        return a.dot(sign * b[xor])
     return np.matmul(a[..., None, :], sign * b[..., xor])[..., 0, :]
 
 
@@ -270,7 +271,7 @@ def _conjugate(x: np.ndarray) -> np.ndarray:
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean inner product of the coefficient vectors."""
     if x.ndim == 1 and y.ndim == 1:
-        return np.dot(x, y)
+        return x.dot(y)
     return np.einsum("...i,...i->...", x, y)
 
 
@@ -314,7 +315,7 @@ def _lift(array_form):
     """
     def public(*args: Hyper, **kwargs):
         out = array_form(*_coeffs(*args), **kwargs)
-        return float(out) if np.ndim(out) == 0 else Hyper._wrap(args[0].dim, out)
+        return float(out) if getattr(out, "ndim", 0) == 0 else Hyper._wrap(args[0].dim, out)
 
     update_wrapper(public, array_form)
     public.__name__ = public.__qualname__ = array_form.__name__[1:]

@@ -215,15 +215,19 @@ def _rows3(u1, u, u2):
     return np.concatenate((u1, u, u2), axis=-1).reshape(*u1.shape[:-1], 3, u1.shape[-1])
 
 
+def _gram_rows(x):
+    """(..., 3, 3) inner products of the rows of x; one matrix by `dot`, as in `core._multiply`."""
+    return x.dot(x.T) if x.ndim == 2 else x @ x.swapaxes(-1, -2)
+
+
 def _gram(u1, u, u2):
     """(..., 3, 3) matrices of (a, b) over a, b in (u1, u, u2)."""
-    x = _rows3(u1, u, u2)
-    return x @ x.swapaxes(-1, -2)
+    return _gram_rows(_rows3(u1, u, u2))
 
 
 def _gram_imaginary(u1, u, u2):
-    # the imaginary parts' coefficients are the vectors without index 0
-    return _gram(u1[..., 1:], u[..., 1:], u2[..., 1:])
+    # the imaginary parts' coefficients are the rows without index 0
+    return _gram_rows(_rows3(u1, u, u2)[..., 1:])
 
 
 def gram(u1: Hyper, u: Hyper, u2: Hyper) -> GramMatrix:
@@ -244,7 +248,8 @@ def _anticommutator3_norm_sq(u1, u, u2):
 def _commutator3_norm_sq(u1, u, u2):
     """|[u1,u,u2]|^2 = ([u1,u],u2)^2 + det(Gram) - det(Gram of imaginary parts)."""
     s = _inner(_cross2(u1, u), u2)
-    return s * s + _det3(_gram(u1, u, u2)) - _det3(_gram_imaginary(u1, u, u2))
+    x = _rows3(u1, u, u2)
+    return s * s + _det3(_gram_rows(x)) - _det3(_gram_rows(x[..., 1:]))
 
 
 def _associator3_norm_sq(u1, u, u2):
@@ -267,8 +272,8 @@ anticommutative_component_norm_sq = _lift(_anticommutative_component_norm_sq)
 def _gram_det_imaginary_identity(u1, u, u2):
     x = _rows3(u1, u, u2)
     conjugated = x @ _conjugate(x).swapaxes(-1, -2)
-    lhs = _det3(_gram_imaginary(u1, u, u2))
-    return lhs, (_det3(_gram(u1, u, u2)) - _det3(conjugated)) / 2
+    lhs = _det3(_gram_rows(x[..., 1:]))
+    return lhs, (_det3(_gram_rows(x)) - _det3(conjugated)) / 2
 
 
 def gram_det_imaginary_identity(u1: Hyper, u: Hyper, u2: Hyper) -> tuple[float, float]:

@@ -504,13 +504,13 @@ def _hadamard_suite(ch: Channels) -> None:
 
     perm_set = {p.map for p in perms}
     ch.add_exact("identity_included", 0 if tuple(range(8)) in perm_set else 1)
-    # one row per map, coded as base-8 digits; table[:, table][a, b] is
-    # table[b] followed by table[a], so every ordered pair is composed
-    table = np.array([p.map for p in perms], dtype=np.intp)
-    weights = 8 ** np.arange(8)
+    # one row of eight byte images per map, read as one exact uint64 code; table[:, table][a, b]
+    # is table[b] followed by table[a], so every ordered pair is composed
+    table = np.array([p.map for p in perms], dtype=np.uint8)
     for name, maps in (("group_closure", table[:, table]),
-                       ("group_inverse", np.argsort(table, axis=1))):
-        ch.add_exact(name, np.count_nonzero(~np.isin(maps @ weights, table @ weights)))
+                       ("group_inverse", np.argsort(table, axis=1).astype(np.uint8))):
+        codes = np.ascontiguousarray(maps).view(np.uint64)
+        ch.add_exact(name, np.count_nonzero(~np.isin(codes, table.view(np.uint64))))
 
     csp4 = {p.map for p in hd.column_set_preserving_permutations(a4)}
     fixing = {(0,) + rest for rest in

@@ -139,3 +139,34 @@ def test_block_rows_match_the_operator_functions(dim):
                     comps2[g, t], rtol=0, atol=atol)
             np.testing.assert_allclose(operators.component3(op, signs, h).coeffs,
                                        comps3[g, t], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+@pytest.mark.parametrize("rows", ((), (1,), (40,)), ids=("vector", "1-row", "40-row"))
+def test_gram_imaginary_is_the_gram_of_the_vectors_without_index_0(rows, dim):
+    # the rows of one stacked matrix, sliced, round as the sliced vectors stacked
+    u1, u, u2 = RNG.standard_normal((3, *rows, dim))
+    got = triple._gram_imaginary(u1, u, u2)
+    want = triple._gram(u1[..., 1:], u[..., 1:], u2[..., 1:])
+    assert got.shape == want.shape == (*rows, 3, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scalar", (np.array(2.5), np.float64(2.5), 2.5),
+                         ids=("0-d", "float64", "float"))
+def test_lift_returns_a_python_float_for_every_scalar_kind(scalar):
+    def _scalar(x):
+        return scalar
+
+    out = core._lift(_scalar)(Hyper(4, RNG.standard_normal(4)))
+    assert type(out) is float and out == 2.5
+
+
+def test_lift_returns_a_hyper_for_a_vector_result():
+    def _double(x):
+        return 2 * x
+
+    x = RNG.standard_normal(4)
+    out = core._lift(_double)(Hyper(4, x))
+    assert isinstance(out, Hyper) and out.dim == 4
+    assert out.coeffs.tobytes() == (2 * x).tobytes() and not out.coeffs.flags.writeable

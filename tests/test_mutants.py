@@ -10,12 +10,20 @@ Two mutant classes, each applied by monkeypatching:
   has one of its three bars toggled, at dims 2, 4 and 8 (conjugation is
   the identity at dim 1), or, at dim 8 only, its bracketing swapped (the
   product is associative at dims up to 4).  The per-trial suites together
-  must fail on every such plan.
+  must fail on every such plan;
+- one butterfly stage of `hadamard.transform` with its difference negated.
+  The per-trial suites together must fail on the stage-0 and stage-1 flips
+  at every dim, and on the stage-2 flip at dims 4 and 8.  Stage 2 exists
+  only in the eight-word transform, where it negates the rows with eps_+ =
+  -1; at dims 1 and 2 those rows vanish in exact arithmetic, so there the
+  mutant is equivalent, and the test asserts that the rows it changes are
+  at rounding level.
 """
 
+import numpy as np
 import pytest
 
-from octotriple import core, operators
+from octotriple import core, hadamard, operators
 from octotriple.verify import _SUITES, RunConfig, run_all
 
 PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.per_trial is not None)
@@ -65,3 +73,54 @@ def test_per_trial_suites_catch_every_plan_mutant(dim, monkeypatch):
             if all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES)):
                 missed.append((word.label, mutant))
     assert missed == []
+
+
+def _flipped_butterfly(stage):
+    """hadamard.transform with the difference of butterfly stage `stage`
+    negated; stage -1 flips nothing."""
+    def transform(values):
+        x = np.asarray(values)
+        n = x.shape[0]
+        h = n // 2
+        rows = x.reshape(n, -1)
+        for k in range(h.bit_length()):
+            a, b = rows[:h], rows[h:]
+            rows = np.concatenate((a + b, b - a if k == stage else a - b), axis=1).reshape(n, -1)
+        return rows.reshape(x.shape)
+    return transform
+
+
+def test_the_unflipped_butterfly_is_the_transform():
+    for n in hadamard.VALID_ORDERS:
+        values = np.random.default_rng(n).standard_normal((n, 5, 8))
+        assert _flipped_butterfly(-1)(values).tobytes() == hadamard.transform(values).tobytes()
+
+
+@pytest.mark.parametrize("stage, caught_dims", ((0, core.VALID_DIMS), (1, core.VALID_DIMS),
+                                                (2, (4, 8))),
+                         ids=("stage0", "stage1", "stage2"))
+def test_per_trial_suites_catch_every_butterfly_flip(stage, caught_dims, monkeypatch):
+    mutant = _flipped_butterfly(stage)
+    seen = []
+
+    def recording(values):
+        seen.append(np.array(values))
+        return mutant(values)
+
+    # operators binds the transform by name; hadamard is patched for any other caller
+    monkeypatch.setattr(hadamard, "transform", recording)
+    monkeypatch.setattr(operators, "transform", recording)
+    for dim in core.VALID_DIMS:
+        seen.clear()
+        config = RunConfig(seed=1, trials=4, dims=(dim,))
+        passed = all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES))
+        assert passed == (dim not in caught_dims), dim
+        if passed:
+            # an equivalent mutant: every row it changes is a few units in the
+            # last place of the largest word value it transforms
+            assert seen
+            for values in seen:
+                want = _flipped_butterfly(-1)(values)
+                changed = mutant(values) != want
+                bound = 4 * np.finfo(float).eps * np.max(np.abs(values))
+                assert np.all(np.abs(want[changed]) <= bound)
