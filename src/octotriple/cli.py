@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands:
-  verify      run the verification suites, the one subcommand that loads them
-              (`octotriple.verify`); options left out take `RunConfig`'s and
-              `run_all`'s defaults, and `run_all` lists the suites if one is unknown
+  verify      run the verification suites (`octotriple.verify`); options left
+              out take `RunConfig`'s and `run_all`'s defaults, and `run_all`
+              lists the suites if one is unknown
   decompose   split a user-supplied triple into its three orthogonal parts
+              (`octotriple.triple`)
   hadamard    render a sign matrix and, for order 8, its permutation counts
+
+Beyond `core` and `hadamard`, which the parser needs, a subcommand imports
+what it runs, `json` included, only when it runs.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 at least one suite failed or a decomposition is not finite, 2 bad flags
@@ -15,7 +19,6 @@ or malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,12 +31,6 @@ from .hadamard import (
     doubling_order_permutations,
     permuted_stack,
     symmetric_mask,
-)
-from .triple import (
-    anticommutator3_norm_sq,
-    associator3_norm_sq,
-    commutator3_norm_sq,
-    decompose_triple,
 )
 
 
@@ -69,6 +66,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
+    import json
     text = source
     if source == "-":
         text = sys.stdin.read()
@@ -99,6 +97,10 @@ def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
 
 
 def _cmd_decompose(args, parser) -> int:
+    import json
+    from .triple import (anticommutator3_norm_sq, associator3_norm_sq, commutator3_norm_sq,
+                         decompose_triple)
+
     u1, u, u2 = _load_triple(args.input, parser)
     # an overflow shows as a non-finite result, which the strict dump below rejects
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,7 +22,6 @@ out by hand.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -211,10 +210,12 @@ class Hyper:
         return cls(obj["dim"], obj["coeffs"])
 
     def to_json(self) -> str:
+        import json   # here, not at import: most processes never serialize a value
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Hyper":
+        import json
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

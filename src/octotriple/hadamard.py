@@ -71,8 +71,13 @@ class RowPermutation:
     def __post_init__(self) -> None:
         n = len(self.map)
         # integers only: 1.0 and True would pass the sorted test, and numpy
-        # reads a bool index array as a mask
-        if not all(_is_integer(i) for i in self.map) or sorted(self.map) != list(range(n)):
+        # reads a bool index array as a mask; the sorted test is the cheaper,
+        # so it runs first, and values that do not order with ints fail it
+        try:
+            valid = sorted(self.map) == list(range(n)) and all(map(_is_integer, self.map))
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.map!r}")
 
     def compose(self, other: "RowPermutation") -> "RowPermutation":

@@ -87,6 +87,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > 1 << 32:   # a trial index is one 32-bit half of a Philox key word
+            raise ValueError(f"trials must be <= 2^32, got {self.trials}")
         if not self.dims:
             raise ValueError("dims must not be empty")
         for dim in self.dims:
@@ -505,12 +507,15 @@ def _hadamard_suite(ch: Channels) -> None:
     perm_set = {p.map for p in perms}
     ch.add_exact("identity_included", 0 if tuple(range(8)) in perm_set else 1)
     # one row of eight byte images per map, read as one exact uint64 code; table[:, table][a, b]
-    # is table[b] followed by table[a], so every ordered pair is composed
+    # is table[b] followed by table[a]; the inverses form one row.  Each check counts where
+    # a sorted row differs from the sorted table: 0 exactly when each row lies in the table,
+    # since composing with a permutation and inverting are injective on distinct maps
     table = np.array([p.map for p in perms], dtype=np.uint8)
+    target = np.sort(table.view(np.uint64), axis=0)
     for name, maps in (("group_closure", table[:, table]),
                        ("group_inverse", np.argsort(table, axis=1).astype(np.uint8))):
         codes = np.ascontiguousarray(maps).view(np.uint64)
-        ch.add_exact(name, np.count_nonzero(~np.isin(codes, table.view(np.uint64))))
+        ch.add_exact(name, np.count_nonzero(np.sort(codes, axis=-2) != target))
 
     csp4 = {p.map for p in hd.column_set_preserving_permutations(a4)}
     fixing = {(0,) + rest for rest in
@@ -618,10 +623,12 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
     idx = SUITE_INDEX[suite.name]
     rows = np.empty((stop - start, suite.vectors * dim + suite.scalars))
     generator = trial_generator(config.seed, idx, start)
+    _trial_key(config.seed, idx, stop - 1)   # the block's last index is in range too
     bit_generator = generator.bit_generator
     state = bit_generator.state   # a fresh copy, re-keyed in place below
+    key, high = state["state"]["key"], idx << 32   # the seed word stays as the first row's
     for r, t in enumerate(range(start, stop)):
-        state["state"]["key"][:] = _trial_key(config.seed, idx, t)
+        key[1] = high | t
         bit_generator.state = state
         generator.standard_normal(out=rows[r])
     vectors = rows[:, :suite.vectors * dim].reshape(stop - start, suite.vectors, dim)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import subprocess
@@ -57,6 +58,11 @@ def test_run_config_validation():
     for bad in ({"trials": 2.5}, {"trials": True}, {"seed": 1.5}, {"dims": (4.0,)}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+    # a trial index is one 32-bit half of a key word, so 2^32 trials is the most a run
+    # can key; only constructed here, never run
+    assert RunConfig(trials=1 << 32).trials == 1 << 32
+    with pytest.raises(ValueError, match="2\\^32"):
+        RunConfig(trials=(1 << 32) + 1)
 
 
 def test_suite_registry_is_stable():
@@ -335,20 +341,39 @@ def test_hadamard_details_report_exploratory_count():
     assert isinstance(rep.details["column_set_preserving_count_order8"], int)
 
 
-def test_package_loads_the_suite_engine_on_first_use():
+def test_package_loads_each_module_on_first_use():
+    # a fresh import and a first product at every dimension load core alone; any
+    # other name, a submodule's included, loads its home module when looked up
     code = ("import sys, octotriple\n"
-            "assert 'octotriple.verify' not in sys.modules\n"
-            "from octotriple import RunConfig\n"
-            "assert octotriple.run_all is octotriple.verify.run_all\n"
-            "assert RunConfig is octotriple.verify.RunConfig\n"
-            "assert octotriple.VerificationReport is octotriple.verify.VerificationReport\n"
-            "try:\n"
-            "    octotriple.no_such_name\n"
-            "except AttributeError as exc:\n"
-            "    print(exc)\n")
+            "for dim in (1, 2, 4, 8):\n"
+            "    e = octotriple.Hyper.basis(dim, dim - 1)\n"
+            "    octotriple.multiply(e, e)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('octotriple.')))\n"
+            "print(octotriple.triple.__name__, octotriple.bridge.__name__)\n"
+            "print('octotriple.verify' in sys.modules)\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "module 'octotriple' has no attribute 'no_such_name'\n"
+    assert res.stdout.splitlines() == ["['octotriple.core']",
+                                       "octotriple.triple octotriple.bridge", "False"]
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    import octotriple
+
+    listed = set(dir(octotriple))
+    star: dict = {}
+    exec("from octotriple import *", star)
+    for name in octotriple.__all__:
+        home = importlib.import_module(octotriple._HOME.get(name, "octotriple.core"))
+        assert getattr(octotriple, name) is getattr(home, name), name
+        assert star[name] is getattr(home, name), name
+        assert name in listed, name
+    assert len(set(octotriple.__all__)) == len(octotriple.__all__)
+    assert {"triple", "operators", "hadamard", "bridge", "verify"} <= listed
+    # the look-ups above left nothing behind: each one goes to the home module
+    assert not set(octotriple._HOME) & set(vars(octotriple))
+    with pytest.raises(AttributeError, match="module 'octotriple' has no attribute 'no_such_name'"):
+        octotriple.no_such_name
 
 
 # -- CLI: verify -----------------------------------------------------------------
@@ -441,17 +466,26 @@ def test_cli_verify_help_prints_no_placeholder_default():
     assert "SUPPRESS" not in res.stdout and "None" not in res.stdout
 
 
-def test_cli_loads_the_suite_engine_only_for_verify():
+def test_cli_loads_only_the_modules_its_command_runs():
     code = ("import sys\n"
             "from octotriple import cli\n"
             "for argv in sys.argv[1:]:\n"
             "    cli.main(argv.split('|'))\n"
-            "print('octotriple.verify' in sys.modules)\n")
-    for argv, loaded in ((["hadamard|2", "decompose|" + QUATERNION_TRIPLE], False),
-                         (["verify|--trials|1|--dims|1"], True)):
+            "    mods = [m.removeprefix('octotriple.') for m in sys.modules\n"
+            "            if m.startswith('octotriple.') or m == 'numpy.ma']\n"
+            "    print('loaded:', *mods)\n")
+    runs = (["hadamard|2", "decompose|" + QUATERNION_TRIPLE], ["verify|--suites|hadamard"])
+    loaded = []
+    for argv in runs:
         res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == str(loaded)
+        loaded += [set(line.split()[1:]) for line in res.stdout.splitlines()
+                   if line.startswith("loaded:")]
+    hadamard, decompose, verify_hadamard = loaded
+    assert hadamard == {"cli", "core", "hadamard"}
+    assert "triple" in decompose and not {"bridge", "verify"} & decompose
+    # the hadamard suite's group checks sort instead of np.isin, which imports numpy.ma
+    assert "verify" in verify_hadamard and "numpy.ma" not in verify_hadamard
 
 
 def test_cli_compare_is_gone():

@@ -344,3 +344,4 @@ def test_hadamard_suite_fails_on_a_broken_automorphism_set(monkeypatch, broken):
     [rep] = verify.run_all(verify.RunConfig(trials=1, dims=(8,)), suites=("hadamard",))
     assert not rep.passed
     assert rep.details["channels"]["group_closure"] > 0
+    assert rep.details["channels"]["group_inverse"] > 0
