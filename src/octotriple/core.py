@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
 
@@ -249,23 +251,54 @@ def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
 # -- array forms and their lift ---------------------------------------------
 
 
+# The open block's results of `_multiply` and `_conjugate`, read-only, keyed by the ids
+# of the operands each entry holds, so no id is reused within the block; both functions
+# are deterministic, so a served result has the bits of a recomputed one
+_MEMO: ContextVar[dict | None] = ContextVar("octotriple_block_memo", default=None)
+
+
+@contextmanager
+def _block_memo():
+    """Compute each distinct block product and conjugate once within the block, in this thread."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bilinear product under the pinned doubling rule.
 
     Two vectors take one gather of b by the XOR table, one product with the
     sign table and one vector-matrix product by the `dot` method, which rounds
     as `@` does without the matmul ufunc machinery; blocks take the same
-    gather of b[..., xor] and one batched matmul."""
+    gather of b[..., xor], signed in place, and one batched matmul."""
     xor, sign = _product_tables(a.shape[-1])
     if a.ndim == 1 and b.ndim == 1:
         return a.dot(sign * b[xor])
-    return np.matmul(a[..., None, :], sign * b[..., xor])[..., 0, :]
+    memo, key = _MEMO.get(), (id(a), id(b))
+    if memo is not None and key in memo:
+        return memo[key][1]
+    g = b[..., xor]
+    g *= sign   # sign * g would allocate a second (rows, dim, dim) array
+    out = np.matmul(a[..., None, :], g)[..., 0, :]
+    if memo is not None:
+        memo[key] = (a, b), out
+        out.setflags(write=False)
+    return out
 
 
 def _conjugate(x: np.ndarray) -> np.ndarray:
     """Negate the imaginary coefficients, keep the real one."""
+    memo = _MEMO.get() if x.ndim > 1 else None
+    if memo is not None and id(x) in memo:
+        return memo[id(x)][1]
     out = -x
     out[..., 0] = x[..., 0]
+    if memo is not None:
+        memo[id(x)] = (x,), out
+        out.setflags(write=False)
     return out
 
 

@@ -80,6 +80,12 @@ class RowPermutation:
         if not valid:
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.map!r}")
 
+    @classmethod
+    def _trusted(cls, map: tuple[int, ...]) -> "RowPermutation":
+        obj = object.__new__(cls)   # for maps built as distinct rows; skips validation
+        object.__setattr__(obj, "map", map)
+        return obj
+
     def compose(self, other: "RowPermutation") -> "RowPermutation":
         """self after other: (self.compose(other)).map[i] = other.map[self.map[i]]."""
         return RowPermutation(tuple(other.map[i] for i in self.map))
@@ -177,7 +183,7 @@ def column_set_preserving_permutations(m: SignMatrix) -> list[RowPermutation]:
         keep = np.all(np.sort(codes, axis=1) == np.sort(target), axis=1)
         prefixes = np.concatenate((prefixes[parent], row[:, None]), axis=1)[keep]
         codes = codes[keep]
-    return [RowPermutation(tuple(row)) for row in prefixes.tolist()]
+    return [RowPermutation._trusted(tuple(row)) for row in prefixes.tolist()]
 
 
 def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
@@ -195,7 +201,7 @@ def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
     for a, b, c in iter_permutations(range(1, 8), 3):
         image = (0, a, b, a ^ b, c, a ^ c, b ^ c, a ^ b ^ c)
         if len(set(image)) == 8:
-            found.append(RowPermutation(image))
+            found.append(RowPermutation._trusted(image))
     return sorted(found, key=lambda p: p.map)
 
 

@@ -15,7 +15,9 @@ per suite and dimension: each argument is a (rows, dim) array whose row r
 holds what the generator of the block's r-th trial draws, and every
 identity is computed for all rows at once on the array forms of the
 library (`core._multiply` and the `_name` functions wrapped by the public
-API).  Blocks bound the memory a run needs, whatever its trial count.  A
+API).  Blocks bound the memory a run needs, whatever its trial count.
+Inside `core._block_memo()`, each distinct product and conjugate of a block
+is computed once and served, read-only, to every form that asks again.  A
 block draws from one generator, re-keyed before each row to the state a
 new generator with that row's key starts in; Philox is counter-based, so
 `trial_generator(seed, suite_index, t)`, drawn in the suite's order,
@@ -50,6 +52,7 @@ from .core import (
     DEFAULT_TOLERANCE,
     Hyper,
     Tolerance,
+    _block_memo,
     _check_dim,
     _conjugate,
     _imaginary_part,
@@ -68,7 +71,9 @@ from .core import (
 )
 
 _MASK64 = (1 << 64) - 1
-# trials evaluated together; the largest array of a block is (_BLOCK_ROWS, dim, dim)
+# trials evaluated together; the largest array of a block is (_BLOCK_ROWS, dim, dim).  A
+# block keeps its distinct products until it ends: at most 0.5 MB more at 100 rows, 19 MB
+# at 4096; `verify --trials 10000 --dims 4,8` peaks at 84.7 MB instead of 68.8 MB RSS
 _BLOCK_ROWS = 4096
 
 
@@ -626,7 +631,10 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
     _trial_key(config.seed, idx, stop - 1)   # the block's last index is in range too
     bit_generator = generator.bit_generator
     state = bit_generator.state   # a fresh copy, re-keyed in place below
-    key, high = state["state"]["key"], idx << 32   # the seed word stays as the first row's
+    words = state["state"]   # as Python ints, which the setter reads faster than uint64s
+    words["counter"], words["key"], state["buffer"] = (
+        words["counter"].tolist(), words["key"].tolist(), state["buffer"].tolist())
+    key, high = words["key"], idx << 32   # the seed word stays as the first row's
     for r, t in enumerate(range(start, stop)):
         key[1] = high | t
         bit_generator.state = state
@@ -646,7 +654,8 @@ def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport
         for start in range(0, config.trials, _BLOCK_ROWS):
             draws = _draw_block(suite, config, dim, start,
                                 min(start + _BLOCK_ROWS, config.trials))
-            suite.per_trial(dim, draws, ch)
+            with _block_memo():
+                suite.per_trial(dim, draws, ch)
             if start == 0 and suite.public is not None:
                 suite.public(dim, tuple(block[0] for block in draws), ch)
         trials = config.trials

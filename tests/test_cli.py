@@ -3,12 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import octotriple.cli as cli
+import octotriple.core as core
 import octotriple.verify as verify
 from octotriple.core import Tolerance
 from octotriple.verify import (
@@ -170,7 +172,7 @@ def test_nan_in_a_later_term_of_a_combined_channel_fails_the_suite(monkeypatch):
     # unit_law is the larger of |i0 u - u| and |u i0 - u|: poison one trial's
     # second product only, which Python's max(first, nan) would drop
     def poisoned(a, b, product=verify._multiply):
-        out = product(a, b)
+        out = product(a, b).copy()   # a block product is read-only, shared by the block
         if b.ndim == 1 and b[0] == 1 and not b[1:].any():
             out[2] = np.nan
         return out
@@ -233,6 +235,79 @@ def test_blocks_of_any_size_give_the_same_reports(monkeypatch):
     whole = run_all(config)
     monkeypatch.setattr(verify, "_BLOCK_ROWS", 7)
     assert run_all(config) == whole
+
+
+def _bits(maxima):
+    return {name: value.hex() for name, value in maxima.items()}
+
+
+@pytest.mark.parametrize("dim", core.VALID_DIMS)
+@pytest.mark.parametrize("name", sorted(_DRAWS))
+def test_block_memo_changes_no_channel_of_a_suite(name, dim):
+    # each distinct product is computed once per block: the suite body and the
+    # forms it calls are the same, so every maximum keeps every bit
+    suite = next(s for s in verify._SUITES if s.name == name)
+    draws = verify._draw_block(suite, RunConfig(seed=42, trials=40), dim, 0, 40)
+    plain, memoized = Channels(Tolerance()), Channels(Tolerance())
+    suite.per_trial(dim, draws, plain)
+    with core._block_memo():
+        suite.per_trial(dim, draws, memoized)
+        assert core._MEMO.get()   # the block products went through the memo
+    assert _bits(memoized.maxima) == _bits(plain.maxima)
+
+
+def test_block_memo_is_closed_after_a_run_and_after_a_suite_that_raises():
+    run_all(RunConfig(seed=1, trials=5, dims=(4,)), suites=("core",))
+    assert core._MEMO.get() is None
+    opened = []
+
+    def per_trial(dim, draws, ch):
+        opened.append(core._MEMO.get())
+        raise RuntimeError("suite body failed")
+
+    with pytest.raises(RuntimeError, match="suite body failed"):
+        _run_suite(_Suite("core", per_trial=per_trial, vectors=3), RunConfig(trials=5), 4)
+    assert opened == [{}]   # a fresh memo for the block
+    assert core._MEMO.get() is None
+
+
+def test_block_memo_is_invisible_to_another_thread():
+    seen = []
+    with core._block_memo():
+        worker = threading.Thread(target=lambda: seen.append(core._MEMO.get()))
+        worker.start()
+        worker.join(timeout=10)
+        assert core._MEMO.get() == {}
+    assert not worker.is_alive() and seen == [None]
+
+
+def test_block_memo_serves_one_read_only_result_per_operand_objects():
+    a, b = np.random.default_rng(0).standard_normal((2, 5, 8))
+    with core._block_memo():
+        p, c = core._multiply(a, b), core._conjugate(a)
+        assert not p.flags.writeable and not c.flags.writeable
+        assert core._multiply(a, b) is p and core._conjugate(a) is c
+        assert core._multiply(b, a) is not p
+        assert core._multiply(a.copy(), b) is not p   # equal values, another object
+        # two vectors take the scalar path, which never enters the memo
+        held = dict(core._MEMO.get())
+        assert core._multiply(a[0], b[0]).flags.writeable
+        assert core._conjugate(a[0]).flags.writeable
+        assert core._MEMO.get() == held
+    fresh = core._multiply(a, b)
+    assert fresh is not p and fresh.flags.writeable
+    assert fresh.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("dim", core.VALID_DIMS)
+def test_block_product_rows_do_not_depend_on_the_block_size(dim):
+    # a trial's row has the same bits in blocks of 2, 17 and 4096 rows, so a
+    # trial can be replayed as a small block; 1-D and 1-row calls go to BLAS
+    a, b = np.random.default_rng(dim).standard_normal((2, 4096, dim))
+    whole = core._multiply(a, b).tobytes()
+    for rows in (2, 17):
+        parts = [core._multiply(a[i:i + rows], b[i:i + rows]) for i in range(0, 4096, rows)]
+        assert np.concatenate(parts).tobytes() == whole
 
 
 _CORE = {"conjugation_formula", "conjugation_involution", "flexibility", "imaginary_part",

@@ -230,6 +230,18 @@ def test_doubling_order_permutations_count_168():
     assert len({p.map for p in perms}) == 168
 
 
+@pytest.mark.parametrize("search, orders", (
+    (column_set_preserving_permutations, (4, 8)),
+    (doubling_order_permutations, (8,)),
+))
+def test_searched_maps_are_the_validated_permutations(search, orders):
+    # both searches build their maps as distinct rows and skip re-validating them
+    for n in orders:
+        for p in search(build(n)):
+            assert type(p.map) is tuple and all(type(i) is int for i in p.map)
+            assert p == RowPermutation(p.map) and hash(p) == hash(RowPermutation(p.map))
+
+
 def test_doubling_order_permutations_rejects_other_orders():
     with pytest.raises(ValueError):
         doubling_order_permutations(build(4))
