@@ -13,7 +13,7 @@ what it runs, `json` included, only when it runs.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 at least one suite failed or a decomposition is not finite, 2 bad flags
-or malformed input.
+or input that is malformed or cannot be read.
 """
 
 from __future__ import annotations
@@ -67,14 +67,17 @@ def _cmd_verify(args, parser) -> int:
 
 def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
     import json
-    text = source
-    if source == "-":
-        text = sys.stdin.read()
-    elif not source.lstrip().startswith(("[", "{")):
-        path = Path(source)
-        if not path.exists():
-            parser.error(f"input file not found: {source}")
-        text = path.read_text()
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif source.lstrip().startswith(("[", "{")):
+            text = source
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:   # missing, a directory, or not UTF-8 text
+        name = "standard input" if source == "-" else source
+        parser.exit(2, f"{parser.prog}: error: cannot read {name}: "
+                       f"{getattr(exc, 'strerror', None) or exc}\n")
     try:
         obj = json.loads(text)
     except ValueError as exc:   # a JSONDecodeError, or an integer literal over the digit limit

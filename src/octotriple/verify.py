@@ -26,17 +26,18 @@ public Hyper API, into the same channels, in the decomposition, lengths and
 bridge suites and for the operator's `component3_public_api`; the public
 wrappers themselves are pinned to the array forms in tests/test_array_forms.py.
 
-Residuals are normalized before aggregation: a residual r of an identity
-with natural scale s contributes r / (f * (s + abs/rel)), where f is the
-identity's tolerance factor (1 for most identities, 10 for the
-degree-six length formulas).  A suite passes when the maximum normalized
-residual is at most the relative tolerance; a non-finite residual counts
-as infinite.  Vector identities use the product of argument norms as
-scale; inner-product and norm identities use its square.
+A suite hands `Channels` the difference each identity says vanishes; the
+size r of it (the norm of a vector, the abs of a scalar) at natural scale s
+contributes r / (f * (s + abs/rel)), f being the identity's tolerance factor
+(1 for most identities, 10 for the degree-six length formulas).  A suite
+passes when the maximum normalized residual is at most the relative
+tolerance; a non-finite residual counts as infinite.  Vector identities use
+the product of argument norms as scale; inner products and norms its square.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -136,8 +137,12 @@ class VerificationReport:
 class Channels:
     """Max-reduce accumulator of normalized residuals, one slot per identity.
 
-    Channel names starting with "info:" are reported but never counted
-    toward pass/fail.
+    The suites hand over differences: `add` reduces scalar terms by abs,
+    `add_norm` vector terms (basis on the last axis) by their norm; the
+    method, never the shape, says which.  A tuple of terms counts as their
+    elementwise maximum, which keeps a NaN, and calls under one name keep
+    the largest value.  Names starting with "info:" are reported but never
+    counted toward pass/fail.
     """
 
     def __init__(self, tol: Tolerance):
@@ -145,19 +150,30 @@ class Channels:
         self.maxima: dict[str, float] = {}
         self.notes: dict[str, object] = {}
 
-    def add(self, name: str, residual, scale, factor: float = 1.0) -> None:
-        """Record the largest residual / (factor * (scale + abs/rel)).
+    def add(self, name: str, diffs, scale, factor: float = 1.0) -> None:
+        """Record the largest |diff| / (factor * (scale + abs/rel)).
 
-        residual and scale are numbers or arrays that broadcast together,
-        typically one entry per trial; a NaN anywhere propagates to the
-        maximum and is recorded as inf.
+        diffs is a term or a tuple of terms, scalar differences or sizes
+        already taken, that broadcast with scale, typically one entry per
+        trial.  A NaN anywhere propagates to the maximum and records as inf.
         """
+        size = (functools.reduce(np.maximum, map(np.abs, diffs)) if isinstance(diffs, tuple)
+                else np.abs(diffs))
         floor = self.tol.abs / self.tol.rel
-        self.add_exact(name, np.max(np.divide(residual, factor * (scale + floor))))
+        self._record(name, np.max(np.divide(size, factor * (scale + floor))))
 
-    def add_exact(self, name: str, residual: float) -> None:
+    def add_norm(self, name: str, diffs, scale, factor: float = 1.0) -> None:
+        """`add` for vector differences: each term is reduced by its norm."""
+        self.add(name, tuple(map(_norm, diffs)) if isinstance(diffs, tuple) else _norm(diffs),
+                 scale, factor)
+
+    def add_exact(self, name: str, diff) -> None:
+        """Record the largest |diff| as it is, for exact checks (tolerance 0)."""
+        self._record(name, np.max(np.abs(diff)))
+
+    def _record(self, name: str, value) -> None:
         # a non-finite value records as inf, so it can neither be dropped nor pass
-        val = float(residual) if math.isfinite(residual) else math.inf
+        val = float(value) if math.isfinite(value) else math.inf
         self.maxima[name] = max(self.maxima.get(name, val), val)
 
     def note(self, key: str, value: object) -> None:
@@ -185,12 +201,11 @@ def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# In the per-trial suites every residual and scale is a vector with one
-# entry per trial.  Terms of a combined channel are joined with np.maximum,
-# which keeps a NaN where Python's max would drop it.  A suite's `_public`
-# function runs some of the same identities on trial 0 through the public
-# Hyper API; those of decomposition, lengths and bridge stay until the
-# benchmark's call tracer times the array forms instead of the public ones.
+# In the per-trial suites every difference and scale has one entry per trial,
+# and `Channels` reduces and joins them.  A suite's `_public` function runs
+# some of the same identities on trial 0 through the public Hyper API, whose
+# `norm` values it hands over as sizes; those of decomposition, lengths and
+# bridge stay until the benchmark's call tracer times the array forms instead.
 
 
 def _hypers(dim: int, row: tuple[np.ndarray, ...]) -> tuple[Hyper, ...]:
@@ -206,41 +221,38 @@ def _core_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     i0 = unit(dim).coeffs
     ub = _conjugate(u)
 
-    ch.add("unit_law", np.maximum(_norm(_multiply(i0, u) - u), _norm(_multiply(u, i0) - u)), su)
-    ch.add("conjugation_involution", _norm(_conjugate(ub) - u), su)
-    ch.add("conjugation_formula", _norm(ub - (2 * u[:, :1] * i0 - u)), su)
+    ch.add_norm("unit_law", (_multiply(i0, u) - u, _multiply(u, i0) - u), su)
+    ch.add_norm("conjugation_involution", _conjugate(ub) - u, su)
+    ch.add_norm("conjugation_formula", ub - (2 * u[:, :1] * i0 - u), su)
 
     half_sum = (_multiply(u1, _conjugate(u2)) + _multiply(u2, _conjugate(u1))) / 2
-    ch.add("inner_half_sum", _norm(half_sum - _inner(u1, u2)[:, None] * i0), s1 * s2)
+    ch.add_norm("inner_half_sum", half_sum - _inner(u1, u2)[:, None] * i0, s1 * s2)
     u_sq = _norm_sq(u)[:, None] * i0
-    ch.add("norm_sq_as_product",
-           np.maximum(_norm(_multiply(u, ub) - u_sq), _norm(_multiply(ub, u) - u_sq)), su * su)
+    ch.add_norm("norm_sq_as_product", (_multiply(u, ub) - u_sq, _multiply(ub, u) - u_sq), su * su)
 
     p12, p21 = _multiply(u1, u2), _multiply(u2, u1)
-    ch.add("product_reversal",
-           _norm(_conjugate(p12) - _multiply(_conjugate(u2), _conjugate(u1))), s1 * s2)
+    ch.add_norm("product_reversal",
+                _conjugate(p12) - _multiply(_conjugate(u2), _conjugate(u1)), s1 * s2)
     ch.add("transfer_rule",
-           np.maximum(np.abs(p12[:, 0] - p21[:, 0]),
-                      np.abs(p12[:, 0] - _inner(u1, _conjugate(u2)))), s1 * s2)
+           (p12[:, 0] - p21[:, 0], p12[:, 0] - _inner(u1, _conjugate(u2))), s1 * s2)
     left_bracketed = _multiply(_multiply(u1, u), u2)
     right_bracketed = _multiply(u1, _multiply(u, u2))
-    ch.add("trace_invariance", np.abs(left_bracketed[:, 0] - right_bracketed[:, 0]), s1 * su * s2)
+    ch.add("trace_invariance", left_bracketed[:, 0] - right_bracketed[:, 0], s1 * su * s2)
 
     sandwich = 2 * _inner(u1, u)[:, None] * u1 - _norm_sq(u1)[:, None] * u
     left = _multiply(_multiply(u1, ub), u1)
     right = _multiply(u1, _multiply(ub, u1))
-    ch.add("sandwich", np.maximum(_norm(left - sandwich), _norm(right - sandwich)), s1 * s1 * su)
-    ch.add("flexibility", _norm(left - right), s1 * s1 * su)
+    ch.add_norm("sandwich", (left - sandwich, right - sandwich), s1 * s1 * su)
+    ch.add_norm("flexibility", left - right, s1 * s1 * su)
 
     if dim <= 4:
-        ch.add("associativity", _norm(left_bracketed - right_bracketed), s1 * su * s2)
+        ch.add_norm("associativity", left_bracketed - right_bracketed, s1 * su * s2)
 
-    ch.add("norm_multiplicativity",
-           np.abs(_norm_sq(p12) - _norm_sq(u1) * _norm_sq(u2)), (s1 * s2) ** 2)
-    ch.add("spacetime_interval", np.abs(_inner(u, ub) - _spacetime_interval(u)), su * su)
+    ch.add("norm_multiplicativity", _norm_sq(p12) - _norm_sq(u1) * _norm_sq(u2), (s1 * s2) ** 2)
+    ch.add("spacetime_interval", _inner(u, ub) - _spacetime_interval(u), su * su)
     im = _imaginary_part(u)
-    ch.add("imaginary_part",
-           np.maximum(np.abs(_inner(im, i0)), _norm(im + u[:, :1] * i0 - u)), su)
+    ch.add("imaginary_part", _inner(im, i0), su)
+    ch.add_norm("imaginary_part", im + u[:, :1] * i0 - u, su)
 
 
 # -- suite: triple decomposition ---------------------------------------------
@@ -260,66 +272,54 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
     variants = np.stack((_multiply(_multiply(u1, ub), u2), _multiply(_multiply(u2, ub), u1),
                          _multiply(u2, _multiply(ub, u1)), _multiply(u1, _multiply(ub, u2))))
     parts = np.stack((anti, assoc, np.zeros_like(anti), comm))
-    ch.add("reconstruction", _norm(hd.transform(parts) - variants), s)
+    ch.add_norm("reconstruction", hd.transform(parts) - variants, s)
     ch.add("stored_residual", residual, s)
-    ch.add("parts_match_operations",
-           np.maximum.reduce((_norm(anti - tp._anticommutator3(u1, u, u2)),
-                              _norm(comm - comm_op), _norm(assoc - assoc_op))), s)
+    ch.add_norm("parts_match_operations",
+                (anti - tp._anticommutator3(u1, u, u2), comm - comm_op, assoc - assoc_op), s)
 
-    ch.add("orthogonality",
-           np.maximum.reduce((np.abs(_inner(anti, comm)),
-                              np.abs(_inner(anti, assoc)),
-                              np.abs(_inner(comm, assoc)))), s * s)
+    ch.add("orthogonality", (_inner(anti, comm), _inner(anti, assoc), _inner(comm, assoc)), s * s)
 
-    ch.add("half_form_agreement",
-           np.maximum.reduce((_norm(anti - tp._anticommutator3_alt(u1, u, u2)),
-                              _norm(comm - tp._commutator3_alt(u1, u, u2)),
-                              _norm(assoc - tp._associator3_alt(u1, u, u2)))), s)
-    ch.add("closed_forms",
-           np.maximum(_norm(anti - tp._anticommutator3_closed(u1, u, u2)),
-                      _norm(comm - tp._commutator3_closed(u1, u, u2))), s)
+    ch.add_norm("half_form_agreement", (anti - tp._anticommutator3_alt(u1, u, u2),
+                                        comm - tp._commutator3_alt(u1, u, u2),
+                                        assoc - tp._associator3_alt(u1, u, u2)), s)
+    ch.add_norm("closed_forms", (anti - tp._anticommutator3_closed(u1, u, u2),
+                                 comm - tp._commutator3_closed(u1, u, u2)), s)
 
-    assoc_swap = _norm(assoc_op + tp._associator3(u2, u, u1))
-    ch.add("associator_cancellation", assoc_swap, s)
-    ch.add("antisymmetry",
-           np.maximum(_norm(comm_op + tp._commutator3(u2, u, u1)), assoc_swap), s)
-    ch.add("degenerate_pair",
-           np.maximum(_norm(tp._commutator3(u1, u, u1)), _norm(tp._associator3(u1, u, u1))),
-           s1 * s1 * su)
+    assoc_swap = assoc_op + tp._associator3(u2, u, u1)
+    ch.add_norm("associator_cancellation", assoc_swap, s)
+    ch.add_norm("antisymmetry", (comm_op + tp._commutator3(u2, u, u1), assoc_swap), s)
+    ch.add_norm("degenerate_pair", (tp._commutator3(u1, u, u1), tp._associator3(u1, u, u1)),
+                s1 * s1 * su)
 
     for x, sx in ((u1, s1), (u, su), (u2, s2)):
-        ch.add("commutator_argument_orthogonality", np.abs(_inner(comm, x)), s * sx)
-        ch.add("associator_argument_orthogonality", np.abs(_inner(assoc, x)), s * sx)
+        ch.add("commutator_argument_orthogonality", _inner(comm, x), s * sx)
+        ch.add("associator_argument_orthogonality", _inner(assoc, x), s * sx)
     c12 = tp._cross2(u1, u2)
     for x, sx in ((i0, 1.0), (tp._cross2(u1, u), s1 * su), (c12, s1 * s2),
                   (tp._cross2(u, u2), su * s2)):
-        ch.add("associator_extended_orthogonality", np.abs(_inner(assoc, x)),
-               s * np.maximum(sx, 1e-30))
+        ch.add("associator_extended_orthogonality", _inner(assoc, x), s * np.maximum(sx, 1e-30))
 
     ch.add("mixed_product_anticommutativity",
-           np.maximum(np.abs(_inner(comm_op, u3) + _inner(tp._commutator3(u3, u, u2), u1)),
-                      np.abs(_inner(assoc_op, u3) + _inner(tp._associator3(u3, u, u2), u1))),
-           s * s3)
+           (_inner(comm_op, u3) + _inner(tp._commutator3(u3, u, u2), u1),
+            _inner(assoc_op, u3) + _inner(tp._associator3(u3, u, u2), u1)), s * s3)
 
     if dim <= 4:
-        ch.add("associator_zero_low_dim", _norm(assoc), s)
+        ch.add_norm("associator_zero_low_dim", assoc, s)
 
     p12, p21 = _multiply(u1, u2), _multiply(u2, u1)
-    ch.add("unit_center_reduction",
-           np.maximum.reduce((_norm(tp._commutator3(u1, i0, u2) - c12),
-                              _norm(tp._anticommutator3(u1, i0, u2) - (p12 + p21) / 2),
-                              _norm(tp._associator3(u1, i0, u2)))), s1 * s2)
+    ch.add_norm("unit_center_reduction", (tp._commutator3(u1, i0, u2) - c12,
+                                          tp._anticommutator3(u1, i0, u2) - (p12 + p21) / 2,
+                                          tp._associator3(u1, i0, u2)), s1 * s2)
 
-    ch.add("cross2_antisymmetry",
-           np.maximum(_norm(tp._cross2(u, u)), _norm(c12 + tp._cross2(u2, u1))),
-           np.maximum(su * su, s1 * s2))
-    ch.add("cross2_unit", np.maximum(_norm(tp._cross2(i0, u)), _norm(tp._cross2(u, i0))), su)
-    ch.add("cross2_orthogonal_to_unit", np.abs(c12[:, 0]), s1 * s2)
+    ch.add_norm("cross2_antisymmetry", (tp._cross2(u, u), c12 + tp._cross2(u2, u1)),
+                np.maximum(su * su, s1 * s2))
+    ch.add_norm("cross2_unit", (tp._cross2(i0, u), tp._cross2(u, i0)), su)
+    ch.add("cross2_orthogonal_to_unit", c12[:, 0], s1 * s2)
     if dim == 4:
         classic = np.cross(u1[:, 1:], u2[:, 1:])
         ch.add("cross2_matches_3d_cross", np.max(np.abs(c12[:, 1:] - classic), axis=-1), s1 * s2)
 
-    ch.add("pair_product_expansion", _norm(tp._pair_product_expansion(u1, u2) - p12), s1 * s2)
+    ch.add_norm("pair_product_expansion", tp._pair_product_expansion(u1, u2) - p12, s1 * s2)
 
 
 def _decomposition_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
@@ -327,17 +327,14 @@ def _decomposition_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -
     s = norm(u1) * norm(u) * norm(u2)
     d = tp.decompose_triple(u1, u, u2)
     ch.add("stored_residual", d.residual, s)
-    ch.add("parts_match_operations",
-           np.maximum.reduce((norm(d.anti - tp.anticommutator3(u1, u, u2)),
-                              norm(d.comm - tp.commutator3(u1, u, u2)),
-                              norm(d.assoc - tp.associator3(u1, u, u2)))), s)
-    ch.add("half_form_agreement",
-           np.maximum.reduce((norm(d.anti - tp.anticommutator3_alt(u1, u, u2)),
-                              norm(d.comm - tp.commutator3_alt(u1, u, u2)),
-                              norm(d.assoc - tp.associator3_alt(u1, u, u2)))), s)
-    ch.add("closed_forms",
-           np.maximum(norm(d.anti - tp.anticommutator3_closed(u1, u, u2)),
-                      norm(d.comm - tp.commutator3_closed(u1, u, u2))), s)
+    ch.add("parts_match_operations", (norm(d.anti - tp.anticommutator3(u1, u, u2)),
+                                      norm(d.comm - tp.commutator3(u1, u, u2)),
+                                      norm(d.assoc - tp.associator3(u1, u, u2))), s)
+    ch.add("half_form_agreement", (norm(d.anti - tp.anticommutator3_alt(u1, u, u2)),
+                                   norm(d.comm - tp.commutator3_alt(u1, u, u2)),
+                                   norm(d.assoc - tp.associator3_alt(u1, u, u2))), s)
+    ch.add("closed_forms", (norm(d.anti - tp.anticommutator3_closed(u1, u, u2)),
+                            norm(d.comm - tp.commutator3_closed(u1, u, u2))), s)
     ch.add("cross2_antisymmetry", norm(tp.cross2(u1, u2) + tp.cross2(u2, u1)), norm(u1) * norm(u2))
     ch.add("pair_product_expansion",
            norm(tp.pair_product_expansion(u1, u2) - multiply(u1, u2)), norm(u1) * norm(u2))
@@ -356,19 +353,18 @@ def _lengths_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> Non
     a = tp._anticommutator3_norm_sq(u1, u, u2)
     c = tp._commutator3_norm_sq(u1, u, u2)
     x = tp._associator3_norm_sq(u1, u, u2)
-    ch.add("anticommutator_length", np.abs(a - _norm_sq(anti)), s2, factor=10.0)
-    ch.add("commutator_length", np.abs(c - _norm_sq(comm)), s2, factor=10.0)
-    ch.add("associator_length", np.abs(x - _norm_sq(assoc)), s2, factor=10.0)
-    ch.add("length_sum", np.abs(a + c + x - prod_sq), s2, factor=10.0)
+    ch.add("anticommutator_length", a - _norm_sq(anti), s2, factor=10.0)
+    ch.add("commutator_length", c - _norm_sq(comm), s2, factor=10.0)
+    ch.add("associator_length", x - _norm_sq(assoc), s2, factor=10.0)
+    ch.add("length_sum", a + c + x - prod_sq, s2, factor=10.0)
     ch.add("product_norm_multiplicativity",
-           np.abs(_norm_sq(_multiply(_multiply(u1, _conjugate(u)), u2)) - prod_sq),
-           s2, factor=10.0)
+           _norm_sq(_multiply(_multiply(u1, _conjugate(u)), u2)) - prod_sq, s2, factor=10.0)
 
     ch.add("anticommutative_component",
-           np.abs(tp._anticommutative_component_norm_sq(u1, u, u2) - _norm_sq(comm + assoc)),
+           tp._anticommutative_component_norm_sq(u1, u, u2) - _norm_sq(comm + assoc),
            s2, factor=10.0)
     lhs, rhs = tp._gram_det_imaginary_identity(u1, u, u2)
-    ch.add("gram_half_difference", np.abs(lhs - rhs), s2, factor=10.0)
+    ch.add("gram_half_difference", lhs - rhs, s2, factor=10.0)
     ch.add("gram_positive_semidefinite", np.maximum(0.0, -tp._det3(tp._gram(u1, u, u2))), s2)
 
 
@@ -378,16 +374,16 @@ def _lengths_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None
     s2 = s * s
     d = tp.decompose_triple(u1, u, u2)
     ch.add("anticommutator_length",
-           abs(tp.anticommutator3_norm_sq(u1, u, u2) - norm_sq(d.anti)), s2, factor=10.0)
+           tp.anticommutator3_norm_sq(u1, u, u2) - norm_sq(d.anti), s2, factor=10.0)
     ch.add("commutator_length",
-           abs(tp.commutator3_norm_sq(u1, u, u2) - norm_sq(d.comm)), s2, factor=10.0)
+           tp.commutator3_norm_sq(u1, u, u2) - norm_sq(d.comm), s2, factor=10.0)
     ch.add("associator_length",
-           abs(tp.associator3_norm_sq(u1, u, u2) - norm_sq(d.assoc)), s2, factor=10.0)
+           tp.associator3_norm_sq(u1, u, u2) - norm_sq(d.assoc), s2, factor=10.0)
     ch.add("anticommutative_component",
-           abs(tp.anticommutative_component_norm_sq(u1, u, u2) - norm_sq(d.comm + d.assoc)),
+           tp.anticommutative_component_norm_sq(u1, u, u2) - norm_sq(d.comm + d.assoc),
            s2, factor=10.0)
     lhs, rhs = tp.gram_det_imaginary_identity(u1, u, u2)
-    ch.add("gram_half_difference", abs(lhs - rhs), s2, factor=10.0)
+    ch.add("gram_half_difference", lhs - rhs, s2, factor=10.0)
     ch.add("gram_positive_semidefinite", np.maximum(0.0, -tp.gram(u1, u, u2).det()), s2)
 
 
@@ -415,11 +411,11 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
         _multiply(c1, _multiply(ub, c2)),       # +v
         _multiply(_multiply(c1, ub), c2),       # *v
     ))
-    ch.add("tabulated_closed_forms", _norm(values_u[:7] - tab), s)
+    ch.add_norm("tabulated_closed_forms", values_u[:7] - tab, s)
 
     # Hermitian pairing for every word: the +-partner (w ^ 1) is the true adjoint
     pairing = _inner(values_u, v) - _inner(values_v[ops._WORD_INDEX ^ 1], u)
-    ch.add("adjoint_pairing", np.abs(pairing), sv)
+    ch.add("adjoint_pairing", pairing, sv)
     # matrix route: transpose of the materialized operator equals the +-partner
     diff = (np.swapaxes(ops._materialize(u1, u2, ops.OpWord()), -1, -2)
             - ops._materialize(u1, u2, ops.OpWord(plus=True)))
@@ -429,31 +425,30 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
     a, b = alpha[:, None], beta[:, None]
     mixed = ops._word_values(u1, u2, a * u + b * v, (ops.OpWord(), ops.OpWord(vee=True)))
     s_mix = np.abs(alpha) * _norm(u) + np.abs(beta) * _norm(v)
-    ch.add("linearity",
-           _norm(mixed - (a * values_u[[0, 4]] + b * values_v[[0, 4]])), s_op * s_mix)
+    ch.add_norm("linearity", mixed - (a * values_u[[0, 4]] + b * values_v[[0, 4]]), s_op * s_mix)
 
     comps2 = ops._components(values_u[:4])
     comps3 = ops._components(values_u)
 
     # two-operation components against the triple products
-    ch.add("component2_anticommutator", _norm(comps2[0] - tp._anticommutator3(u1, u, u2)), s)
-    ch.add("component2_commutator", _norm(comps2[3] - tp._commutator3(u1, u, u2)), s)
-    ch.add("component2_associator", _norm(comps2[1] - tp._associator3(u1, u, u2)), s)
-    ch.add("component2_vanishing", _norm(comps2[2]), s)
+    ch.add_norm("component2_anticommutator", comps2[0] - tp._anticommutator3(u1, u, u2), s)
+    ch.add_norm("component2_commutator", comps2[3] - tp._commutator3(u1, u, u2), s)
+    ch.add_norm("component2_associator", comps2[1] - tp._associator3(u1, u, u2), s)
+    ch.add_norm("component2_vanishing", comps2[2], s)
 
     # the transform is its own inverse up to n: it maps the components back to the values
-    ch.add("component2_reconstruction", _norm(hd.transform(comps2) - values_u[:4]), s)
+    ch.add_norm("component2_reconstruction", hd.transform(comps2) - values_u[:4], s)
 
     # three-operation components: reconstruction, telescoping, eigen-relations
-    ch.add("component3_sum", _norm(comps3.sum(axis=0) - values_u[0]), s)
-    ch.add("component3_telescoping", _norm(comps3[:4] + comps3[4:] - comps2), s)
+    ch.add_norm("component3_sum", comps3.sum(axis=0) - values_u[0], s)
+    ch.add_norm("component3_telescoping", comps3[:4] + comps3[4:] - comps2, s)
 
     eig = ops._eigen_residuals(values_u, values_v, u, v).max(axis=0)
     ch.add("component3_eigen_plus", eig[0], sv)
     ch.add("component3_eigen_star", eig[1], s)
     ch.add("component3_eigen_vee", eig[2], s)
     for signs, b_u in zip(ops.ALL_SIGN_TRIPLES, comps3):
-        ch.add(f"info:three_op_norm{signs.label}", _norm(b_u), s)
+        ch.add_norm(f"info:three_op_norm{signs.label}", b_u, s)
 
 
 def _operator_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
@@ -488,14 +483,13 @@ def _hadamard_suite(ch: Channels) -> None:
     a4 = hd.build(4)
     a8 = hd.build(8)
 
-    ch.add_exact("a4_printed", np.max(np.abs(a4.entries - _A4_PRINTED)))
-    ch.add_exact("a8_row_ab", np.max(np.abs(a8.entries[3] - _A8_ROW_AB)))
+    ch.add_exact("a4_printed", a4.entries - _A4_PRINTED)
+    ch.add_exact("a8_row_ab", a8.entries[3] - _A8_ROW_AB)
     for m in (hd.build(2), a4, a8):
         ch.add_exact("inverse_up_to_factor",
-                     np.max(np.abs(m.entries @ m.entries - m.n * np.eye(m.n, dtype=np.int64))))
+                     m.entries @ m.entries - m.n * np.eye(m.n, dtype=np.int64))
         ch.add_exact("symmetric", 0 if m.is_symmetric() else 1)
-        ch.add_exact("normalized",
-                     np.max(np.abs(np.concatenate([m.entries[0], m.entries[:, 0]]) - 1)))
+        ch.add_exact("normalized", np.concatenate([m.entries[0], m.entries[:, 0]]) - 1)
         ch.add_exact("row_group", 0 if hd.row_group_check(m) else 1)
 
     flipped = a8.entries.copy()
@@ -504,10 +498,10 @@ def _hadamard_suite(ch: Channels) -> None:
                  1 if hd.row_group_check(hd.SignMatrix(8, flipped)) else 0)
 
     perms = hd.doubling_order_permutations(a8)
-    ch.add_exact("automorphism_count", abs(len(perms) - 168))
+    ch.add_exact("automorphism_count", len(perms) - 168)
     sym, asym = hd.classify_symmetry(perms, a8)
-    ch.add_exact("symmetric_count", abs(sym - 28))
-    ch.add_exact("asymmetric_count", abs(asym - 140))
+    ch.add_exact("symmetric_count", sym - 28)
+    ch.add_exact("asymmetric_count", asym - 140)
 
     perm_set = {p.map for p in perms}
     ch.add_exact("identity_included", 0 if tuple(range(8)) in perm_set else 1)
@@ -551,8 +545,8 @@ def _bridge_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None
     ch.add("okubo_reconstruction", br._okubo_reconstruction_residual(u1, u, u2), s)
     ch.add("okubo_bracket_display", br._okubo_bracket_display_residual(u1, u, u2), s)
     ch.add("dray_manogue_decomposition", br._dray_manogue_residual(u1, u, u2), s)
-    ch.add("dray_manogue_antisymmetry",
-           _norm(br._dray_manogue_cross(u1, u, u2) + br._dray_manogue_cross(u2, u, u1)), s)
+    ch.add_norm("dray_manogue_antisymmetry",
+                br._dray_manogue_cross(u1, u, u2) + br._dray_manogue_cross(u2, u, u1), s)
     ch.add("info:bac_cab_printed", br._bac_cab_residual(u1, u, u2), si)
     ch.add("info:bac_cab_flipped", br._bac_cab_residual(u1, u, u2, flip_sign=True), si)
 

@@ -12,7 +12,7 @@ import pytest
 import octotriple.cli as cli
 import octotriple.core as core
 import octotriple.verify as verify
-from octotriple.core import Tolerance
+from octotriple.core import Tolerance, _norm
 from octotriple.verify import (
     Channels,
     RunConfig,
@@ -141,6 +141,33 @@ def test_channels_keep_nan_after_finite_value():
     ch.add_exact("y", 0)
     ch.add_exact("y", float("nan"))
     assert ch.maxima == {"x": float("inf"), "y": float("inf")}
+
+
+def test_channels_reduce_what_the_suites_hand_over():
+    tol = Tolerance()
+    floor = tol.abs / tol.rel
+    diff = np.array([[3.0, 4.0, 0.0], [0.0, 1e-3, 0.0]])   # (rows, dim)
+    scale = np.array([2.0, 1e-6])
+    ch = Channels(tol)
+    ch.add_norm("vector", diff, scale)
+    assert ch.maxima["vector"] == np.max(_norm(diff) / (scale + floor))
+
+    # a NaN in the second term alone survives the join of the terms
+    ch.add("tuple", (np.array([1.0, 2.0]), np.array([0.5, float("nan")])), 1.0)
+    ch.add_norm("tuple_norm", (diff, np.full((2, 3), float("nan"))), scale)
+    assert ch.maxima["tuple"] == ch.maxima["tuple_norm"] == float("inf")
+
+    # a scalar and a vector term under one name keep the larger value
+    ch.add("mixed", np.array([-0.5, 0.25]), 1.0)
+    ch.add_norm("mixed", diff, 1.0)
+    assert ch.maxima["mixed"] == 5.0 / (1.0 + floor)
+
+    # a tuple records the bits of separate calls under one name
+    terms = (np.array([1e-3, -7e-4]), np.array([-2e-3, 3e-4]))
+    ch.add("joined", terms, scale, factor=10.0)
+    for term in terms:
+        ch.add("separate", term, scale, factor=10.0)
+    assert ch.maxima["joined"].hex() == ch.maxima["separate"].hex()
 
 
 def test_nan_residual_fails_the_suite():
@@ -606,6 +633,22 @@ def test_cli_decompose_from_file(tmp_path):
     res = run_cli("decompose", str(path))
     assert res.returncode == 0
     assert json.loads(res.stdout)["residual"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ("directory", "non_utf8_file", "missing_file", "non_utf8_stdin"))
+def test_cli_decompose_unreadable_input_exits_2_with_one_line(kind, tmp_path, monkeypatch):
+    source = {"directory": tmp_path, "non_utf8_file": tmp_path / "latin1.json",
+              "missing_file": tmp_path / "absent.json", "non_utf8_stdin": "-"}[kind]
+    raw = b"\xff" + QUATERNION_TRIPLE.encode()
+    if kind == "non_utf8_file":
+        source.write_bytes(raw)
+    if kind == "non_utf8_stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    res = run_cli("decompose", str(source))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    [line] = res.stderr.splitlines()
+    assert line.startswith("octotriple: error: cannot read ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
