@@ -69,7 +69,7 @@ def _load_triple(source: str, parser) -> tuple[Hyper, Hyper, Hyper]:
     import json
     try:
         if source == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")   # not the locale's error handler
         elif source.lstrip().startswith(("[", "{")):
             text = source
         else:

@@ -291,7 +291,7 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _conjugate(x: np.ndarray) -> np.ndarray:
     """Negate the imaginary coefficients, keep the real one."""
-    memo = _MEMO.get() if x.ndim > 1 else None
+    memo = _MEMO.get()
     if memo is not None and id(x) in memo:
         return memo[id(x)][1]
     out = -x

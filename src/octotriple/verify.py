@@ -26,13 +26,14 @@ public Hyper API, into the same channels, in the decomposition, lengths and
 bridge suites and for the operator's `component3_public_api`; the public
 wrappers themselves are pinned to the array forms in tests/test_array_forms.py.
 
-A suite hands `Channels` the difference each identity says vanishes; the
-size r of it (the norm of a vector, the abs of a scalar) at natural scale s
-contributes r / (f * (s + abs/rel)), f being the identity's tolerance factor
-(1 for most identities, 10 for the degree-six length formulas).  A suite
-passes when the maximum normalized residual is at most the relative
-tolerance; a non-finite residual counts as infinite.  Vector identities use
-the product of argument norms as scale; inner products and norms its square.
+A suite hands `Channels` the differences each identity says vanish, taking a
+size itself only where the library's output is one (`stored_residual`, the bridge
+and eigen residuals) and in `gram_positive_semidefinite`, max(0, -det).  The
+size r (the norm of a vector, the abs of a scalar) at natural scale s contributes
+r / (f * (s + abs/rel)), f the identity's factor (1 for most, 10 for the
+degree-six length formulas).  A suite passes when the maximum is at most the
+relative tolerance; a non-finite residual counts as infinite.  Vector identities
+scale by the product of argument norms; inner products and norms by its square.
 """
 
 from __future__ import annotations
@@ -139,10 +140,11 @@ class Channels:
 
     The suites hand over differences: `add` reduces scalar terms by abs,
     `add_norm` vector terms (basis on the last axis) by their norm; the
-    method, never the shape, says which.  A tuple of terms counts as their
-    elementwise maximum, which keeps a NaN, and calls under one name keep
-    the largest value.  Names starting with "info:" are reported but never
-    counted toward pass/fail.
+    method, never the shape, says which.  A term may be any array that
+    broadcasts with its scale (a matrix per trial, eight sign triples per
+    trial); a tuple of terms counts as their elementwise maximum, which keeps
+    a NaN, and calls under one name keep the largest value.  Names starting
+    with "info:" are reported but never counted toward pass/fail.
     """
 
     def __init__(self, tol: Tolerance):
@@ -201,11 +203,9 @@ def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# In the per-trial suites every difference and scale has one entry per trial,
-# and `Channels` reduces and joins them.  A suite's `_public` function runs
-# some of the same identities on trial 0 through the public Hyper API, whose
-# `norm` values it hands over as sizes; those of decomposition, lengths and
-# bridge stay until the benchmark's call tracer times the array forms instead.
+# A suite's `_public` function runs some identities on trial 0 through the public
+# Hyper API and hands over its `norm` values as sizes; those of decomposition, lengths
+# and bridge stay until the benchmark's call tracer times the array forms instead.
 
 
 def _hypers(dim: int, row: tuple[np.ndarray, ...]) -> tuple[Hyper, ...]:
@@ -317,7 +317,7 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
     ch.add("cross2_orthogonal_to_unit", c12[:, 0], s1 * s2)
     if dim == 4:
         classic = np.cross(u1[:, 1:], u2[:, 1:])
-        ch.add("cross2_matches_3d_cross", np.max(np.abs(c12[:, 1:] - classic), axis=-1), s1 * s2)
+        ch.add("cross2_matches_3d_cross", c12[:, 1:] - classic, (s1 * s2)[:, None])
 
     ch.add_norm("pair_product_expansion", tp._pair_product_expansion(u1, u2) - p12, s1 * s2)
 
@@ -419,7 +419,7 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
     # matrix route: transpose of the materialized operator equals the +-partner
     diff = (np.swapaxes(ops._materialize(u1, u2, ops.OpWord()), -1, -2)
             - ops._materialize(u1, u2, ops.OpWord(plus=True)))
-    ch.add("adjoint_transpose", np.max(np.abs(diff), axis=(-2, -1)), s_op)
+    ch.add("adjoint_transpose", diff, s_op[:, None, None])
 
     # real-linearity of the transformed operators e and v in the operand
     a, b = alpha[:, None], beta[:, None]
@@ -443,10 +443,10 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
     ch.add_norm("component3_sum", comps3.sum(axis=0) - values_u[0], s)
     ch.add_norm("component3_telescoping", comps3[:4] + comps3[4:] - comps2, s)
 
-    eig = ops._eigen_residuals(values_u, values_v, u, v).max(axis=0)
-    ch.add("component3_eigen_plus", eig[0], sv)
-    ch.add("component3_eigen_star", eig[1], s)
-    ch.add("component3_eigen_vee", eig[2], s)
+    eig = ops._eigen_residuals(values_u, values_v, u, v)
+    ch.add("component3_eigen_plus", eig[:, 0], sv)
+    ch.add("component3_eigen_star", eig[:, 1], s)
+    ch.add("component3_eigen_vee", eig[:, 2], s)
     for signs, b_u in zip(ops.ALL_SIGN_TRIPLES, comps3):
         ch.add_norm(f"info:three_op_norm{signs.label}", b_u, s)
 

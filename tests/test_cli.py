@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ import pytest
 
 import octotriple.cli as cli
 import octotriple.core as core
+import octotriple.triple as tp
 import octotriple.verify as verify
 from octotriple.core import Tolerance, _norm
 from octotriple.verify import (
@@ -27,10 +29,12 @@ from octotriple.verify import (
 
 def run_cli(*args, stdin=None):
     """`octotriple *args` in this process: `cli.main` with stdin, stdout and
-    stderr swapped for strings, and argparse's exit turned into the code."""
+    stderr swapped for strings, and argparse's exit turned into the code.
+    stdin is a UTF-8 text layer over bytes, as a real one is, because the
+    CLI reads its `.buffer`."""
     out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
     if stdin is not None:
-        sys.stdin = io.StringIO(stdin)
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(list(args))
@@ -316,25 +320,52 @@ def test_block_memo_serves_one_read_only_result_per_operand_objects():
         assert core._multiply(a, b) is p and core._conjugate(a) is c
         assert core._multiply(b, a) is not p
         assert core._multiply(a.copy(), b) is not p   # equal values, another object
-        # two vectors take the scalar path, which never enters the memo
+        # a product of two vectors takes the scalar path, which never enters the memo
         held = dict(core._MEMO.get())
         assert core._multiply(a[0], b[0]).flags.writeable
-        assert core._conjugate(a[0]).flags.writeable
         assert core._MEMO.get() == held
+        # every conjugate does, a vector's too, so the forms of one block share conj(i0)
+        i0 = core.unit(8).coeffs
+        c0 = core._conjugate(i0)
+        assert core._conjugate(i0) is c0 and not c0.flags.writeable
     fresh = core._multiply(a, b)
     assert fresh is not p and fresh.flags.writeable
     assert fresh.tobytes() == p.tobytes()
+    fresh0, again = core._conjugate(i0), core._conjugate(i0)
+    assert fresh0 is not again and fresh0.flags.writeable and again.flags.writeable
+    assert fresh0.tobytes() == c0.tobytes()
+
+
+def _assert_rows_do_not_depend_on_the_block_size(form, args):
+    # each row of a 4096-row block has the bits of the same row in blocks of 2
+    # and 17 rows and in a 2-row block of the row twice, so a trial can be replayed
+    # as a small block; a 1-row block rounds as the 1-D call, which goes to BLAS
+    whole = [np.asarray(x) for x in form(*args)]
+    for rows in (2, 17):
+        for i in range(0, 4096, rows):
+            parts = form(*(x[i:i + rows] for x in args))
+            assert all(p.tobytes() == w[i:i + rows].tobytes() for p, w in zip(parts, whole))
+    for r in range(4096):
+        parts = form(*(x[[r, r]] for x in args))
+        assert all(p.tobytes() == w[[r, r]].tobytes() for p, w in zip(parts, whole))
+    for r in range(0, 4096, 64):
+        rows, vectors = form(*(x[r:r + 1] for x in args)), form(*(x[r] for x in args))
+        assert all(np.asarray(p)[0].tobytes() == np.asarray(v).tobytes()
+                   for p, v in zip(rows, vectors))
 
 
 @pytest.mark.parametrize("dim", core.VALID_DIMS)
 def test_block_product_rows_do_not_depend_on_the_block_size(dim):
-    # a trial's row has the same bits in blocks of 2, 17 and 4096 rows, so a
-    # trial can be replayed as a small block; 1-D and 1-row calls go to BLAS
     a, b = np.random.default_rng(dim).standard_normal((2, 4096, dim))
-    whole = core._multiply(a, b).tobytes()
-    for rows in (2, 17):
-        parts = [core._multiply(a[i:i + rows], b[i:i + rows]) for i in range(0, 4096, rows)]
-        assert np.concatenate(parts).tobytes() == whole
+    _assert_rows_do_not_depend_on_the_block_size(lambda a, b: (core._multiply(a, b),), (a, b))
+
+
+@pytest.mark.parametrize("dim", core.VALID_DIMS)
+def test_block_decomposition_rows_do_not_depend_on_the_block_size(dim):
+    # the parts and the residual, so a replayed trial reproduces every channel
+    # of the decomposition it feeds
+    u1, u, u2 = np.random.default_rng(dim).standard_normal((3, 4096, dim))
+    _assert_rows_do_not_depend_on_the_block_size(tp._decompose_triple, (u1, u, u2))
 
 
 _CORE = {"conjugation_formula", "conjugation_involution", "flexibility", "imaginary_part",
@@ -649,6 +680,18 @@ def test_cli_decompose_unreadable_input_exits_2_with_one_line(kind, tmp_path, mo
     assert res.stdout == ""
     [line] = res.stderr.splitlines()
     assert line.startswith("octotriple: error: cannot read ")
+
+
+def test_cli_decompose_non_utf8_stdin_in_utf8_mode_cannot_be_read():
+    # Python's UTF-8 mode (and a C locale) decodes sys.stdin with surrogateescape,
+    # so only the bytes themselves can say that they are not UTF-8
+    res = subprocess.run([sys.executable, "-m", "octotriple", "decompose", "-"],
+                         input=b"\xff[1]", capture_output=True,
+                         env={**os.environ, "PYTHONUTF8": "1"})
+    assert res.returncode == 2
+    assert res.stdout == b""
+    [line] = res.stderr.decode().splitlines()
+    assert "cannot read standard input" in line
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
