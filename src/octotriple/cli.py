@@ -13,12 +13,13 @@ what it runs, `json` included, only when it runs.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 at least one suite failed or a decomposition is not finite, 2 bad flags
-or input that is malformed or cannot be read.
+or input that is malformed or cannot be read, 141 stdout's reader left early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -179,11 +180,14 @@ def main(argv: list[str] | None = None) -> int:
                        help="with --perms: list the symmetry-preserving permutations")
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "decompose":
-        return _cmd_decompose(args, parser)
-    return _cmd_hadamard(args, parser)
+    command = {"verify": _cmd_verify, "decompose": _cmd_decompose}.get(args.command, _cmd_hadamard)
+    try:
+        code = command(args, parser)
+        sys.stdout.flush()   # so a reader that has gone shows here, whatever the buffering
+    except BrokenPipeError:   # quietly: stdout writes to nowhere, so the last flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141   # 128 + SIGPIPE, as a shell reports a writer its reader left
+    return code
 
 
 if __name__ == "__main__":

@@ -252,15 +252,14 @@ def component3(op: TripleOperator, signs: SignTriple, u: Hyper) -> Hyper:
 
 
 def _eigen_residuals(values_u: np.ndarray, values_v: np.ndarray,
-                     u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(8, 3, ...) array: the residuals of component3_eigen_residuals for every
-    sign triple, over the leading axes of u and v."""
+                     u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scalar + and the vector * and v differences of component3_eigen_residuals,
+    each with a first axis over the sign triples, over the leading axes of u and v."""
     eps = _EPS.T.reshape(3, 8, *(1,) * (values_u.ndim - 2))
     b_u, b_v = _components(values_u), _components(values_v)
-    r_plus = np.abs(_inner(b_u, v) - eps[0] * _inner(b_v, u))
-    r_star = _norm(_components(values_u[_WORD_INDEX ^ 2]) - eps[1][..., None] * b_u)
-    r_vee = _norm(_components(values_u[_WORD_INDEX ^ 4]) - eps[2][..., None] * b_u)
-    return np.stack((r_plus, r_star, r_vee), axis=1)
+    return (_inner(b_u, v) - eps[0] * _inner(b_v, u),
+            _components(values_u[_WORD_INDEX ^ 2]) - eps[1][..., None] * b_u,
+            _components(values_u[_WORD_INDEX ^ 4]) - eps[2][..., None] * b_u)
 
 
 def component3_eigen_residuals(op: TripleOperator, signs: SignTriple,
@@ -277,5 +276,6 @@ def component3_eigen_residuals(op: TripleOperator, signs: SignTriple,
     rewrites applied to every term.
     """
     u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
-    res = _eigen_residuals(_word_values(u1, u2, x), _word_values(u1, u2, y), x, y)
-    return tuple(float(r) for r in res[ALL_SIGN_TRIPLES.index(signs)])
+    plus, star, vee = (d[ALL_SIGN_TRIPLES.index(signs)] for d in
+                       _eigen_residuals(_word_values(u1, u2, x), _word_values(u1, u2, y), x, y))
+    return float(abs(plus)), float(_norm(star)), float(_norm(vee))

@@ -26,14 +26,13 @@ public Hyper API, into the same channels, in the decomposition, lengths and
 bridge suites and for the operator's `component3_public_api`; the public
 wrappers themselves are pinned to the array forms in tests/test_array_forms.py.
 
-A suite hands `Channels` the differences each identity says vanish, taking a
-size itself only where the library's output is one (`stored_residual`, the bridge
-and eigen residuals) and in `gram_positive_semidefinite`, max(0, -det).  The
-size r (the norm of a vector, the abs of a scalar) at natural scale s contributes
-r / (f * (s + abs/rel)), f the identity's factor (1 for most, 10 for the
-degree-six length formulas).  A suite passes when the maximum is at most the
-relative tolerance; a non-finite residual counts as infinite.  Vector identities
-scale by the product of argument norms; inner products and norms by its square.
+A suite hands `Channels` the differences each identity says vanish and builds its scales
+from the argument norms `Channels.norms` gives (vector identities scale by their product,
+inner products and norms by its square); it takes a size itself only where the library's
+output is one (`stored_residual`, the bridge residuals) and in `gram_positive_semidefinite`,
+max(0, -det).  The size r (the norm of a vector, the abs of a scalar) at scale s counts as
+r / (f * (s + abs/rel)), f the factor (10 for the degree-six length formulas, else 1); a
+suite passes when the maximum is at most rel, and a non-finite residual counts as infinite.
 """
 
 from __future__ import annotations
@@ -138,19 +137,22 @@ class VerificationReport:
 class Channels:
     """Max-reduce accumulator of normalized residuals, one slot per identity.
 
-    The suites hand over differences: `add` reduces scalar terms by abs,
-    `add_norm` vector terms (basis on the last axis) by their norm; the
-    method, never the shape, says which.  A term may be any array that
-    broadcasts with its scale (a matrix per trial, eight sign triples per
-    trial); a tuple of terms counts as their elementwise maximum, which keeps
-    a NaN, and calls under one name keep the largest value.  Names starting
-    with "info:" are reported but never counted toward pass/fail.
+    It owns every reduction and every scale.  The suites take the norms their scales
+    are products of from `norms` (basis on the last axis), and hand over differences:
+    `add` reduces scalar terms by abs, `add_norm` vector terms by their norm; the
+    method, never the shape, says which.  A term may be any array that broadcasts with
+    its scale (a matrix per trial, eight sign triples per trial); a tuple of terms
+    counts as their elementwise maximum, which keeps a NaN, and calls under one name
+    keep the largest value.  Names starting with "info:" are reported, never counted.
     """
 
     def __init__(self, tol: Tolerance):
         self.tol = tol
         self.maxima: dict[str, float] = {}
         self.notes: dict[str, object] = {}
+
+    def norms(self, *blocks) -> tuple:
+        return tuple(map(_norm, blocks))
 
     def add(self, name: str, diffs, scale, factor: float = 1.0) -> None:
         """Record the largest |diff| / (factor * (scale + abs/rel)).
@@ -217,7 +219,7 @@ def _hypers(dim: int, row: tuple[np.ndarray, ...]) -> tuple[Hyper, ...]:
 
 def _core_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u2, u = draws
-    s1, s2, su = _norm(u1), _norm(u2), _norm(u)
+    s1, s2, su = ch.norms(*draws)
     i0 = unit(dim).coeffs
     ub = _conjugate(u)
 
@@ -260,7 +262,7 @@ def _core_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
 
 def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u, u2, u3 = draws
-    s1, su, s2, s3 = (_norm(x) for x in draws)
+    s1, su, s2, s3 = ch.norms(*draws)
     s = s1 * su * s2
     i0 = unit(dim).coeffs
     ub = _conjugate(u)
@@ -297,7 +299,7 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
     c12 = tp._cross2(u1, u2)
     for x, sx in ((i0, 1.0), (tp._cross2(u1, u), s1 * su), (c12, s1 * s2),
                   (tp._cross2(u, u2), su * s2)):
-        ch.add("associator_extended_orthogonality", _inner(assoc, x), s * np.maximum(sx, 1e-30))
+        ch.add("associator_extended_orthogonality", _inner(assoc, x), s * sx)
 
     ch.add("mixed_product_anticommutativity",
            (_inner(comm_op, u3) + _inner(tp._commutator3(u3, u, u2), u1),
@@ -345,7 +347,8 @@ def _decomposition_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -
 
 def _lengths_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u, u2 = draws
-    s = _norm(u1) * _norm(u) * _norm(u2)
+    n1, nu, n2 = ch.norms(*draws)
+    s = n1 * nu * n2
     s2 = s * s
     anti, comm, assoc, _ = tp._decompose_triple(u1, u, u2)
     prod_sq = _norm_sq(u1) * _norm_sq(u) * _norm_sq(u2)
@@ -392,10 +395,11 @@ def _lengths_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None
 
 def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u2, u, v, scalars = draws
-    alpha, beta = scalars.T
-    s_op = _norm(u1) * _norm(u2)
-    s = s_op * _norm(u)
-    sv = s * _norm(v)
+    a, b = scalars[:, :1], scalars[:, 1:]   # alpha and beta, one column each
+    n1, n2, nu, nv, na, nb = ch.norms(u1, u2, u, v, a, b)
+    s_op = n1 * n2
+    s = s_op * nu
+    sv = s * nv
     ub, c1, c2 = _conjugate(u), _conjugate(u1), _conjugate(u2)
     values_u = ops._word_values(u1, u2, u)
     values_v = ops._word_values(u1, u2, v)
@@ -422,9 +426,8 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
     ch.add("adjoint_transpose", diff, s_op[:, None, None])
 
     # real-linearity of the transformed operators e and v in the operand
-    a, b = alpha[:, None], beta[:, None]
     mixed = ops._word_values(u1, u2, a * u + b * v, (ops.OpWord(), ops.OpWord(vee=True)))
-    s_mix = np.abs(alpha) * _norm(u) + np.abs(beta) * _norm(v)
+    s_mix = na * nu + nb * nv   # |alpha| |u| + |beta| |v| bit for bit: sqrt(fl(x x)) = |x|
     ch.add_norm("linearity", mixed - (a * values_u[[0, 4]] + b * values_v[[0, 4]]), s_op * s_mix)
 
     comps2 = ops._components(values_u[:4])
@@ -443,10 +446,10 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
     ch.add_norm("component3_sum", comps3.sum(axis=0) - values_u[0], s)
     ch.add_norm("component3_telescoping", comps3[:4] + comps3[4:] - comps2, s)
 
-    eig = ops._eigen_residuals(values_u, values_v, u, v)
-    ch.add("component3_eigen_plus", eig[:, 0], sv)
-    ch.add("component3_eigen_star", eig[:, 1], s)
-    ch.add("component3_eigen_vee", eig[:, 2], s)
+    plus, star, vee = ops._eigen_residuals(values_u, values_v, u, v)
+    ch.add("component3_eigen_plus", plus, sv)
+    ch.add_norm("component3_eigen_star", star, s)
+    ch.add_norm("component3_eigen_vee", vee, s)
     for signs, b_u in zip(ops.ALL_SIGN_TRIPLES, comps3):
         ch.add_norm(f"info:three_op_norm{signs.label}", b_u, s)
 
@@ -539,8 +542,9 @@ def _hadamard_suite(ch: Channels) -> None:
 
 def _bridge_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u, u2 = draws
-    s = _norm(u1) * _norm(u) * _norm(u2)
-    si = np.maximum(_norm(u1[:, 1:]) * _norm(u[:, 1:]) * _norm(u2[:, 1:]), 1e-30)
+    n1, nu, n2, i1, iu, i2 = ch.norms(*draws, u1[:, 1:], u[:, 1:], u2[:, 1:])
+    s = n1 * nu * n2
+    si = np.maximum(i1 * iu * i2, 1e-30)   # live: at dim 1 it is 0, and 0/0 records inf
 
     ch.add("okubo_reconstruction", br._okubo_reconstruction_residual(u1, u, u2), s)
     ch.add("okubo_bracket_display", br._okubo_bracket_display_residual(u1, u, u2), s)

@@ -428,10 +428,66 @@ def test_every_suite_passes_at_dims_1_and_2_with_the_dim_4_channels():
         assert set(r.details["channels"]) == want, (r.suite, r.dim)
 
 
+class _UnitScales(Channels):
+    """A recorder that owns every scale and reduction itself: each norm is one,
+    and the terms are reduced with numpy here, not by the suite body."""
+
+    def norms(self, *blocks):
+        return tuple(np.ones(b.shape[:-1]) for b in blocks)
+
+    def add(self, name, diffs, scale, factor=1.0):
+        terms = diffs if isinstance(diffs, tuple) else (diffs,)
+        self._record(name, max(np.max(np.abs(t) / (factor * scale)) for t in terms))
+
+    def add_norm(self, name, diffs, scale, factor=1.0):
+        terms = diffs if isinstance(diffs, tuple) else (diffs,)
+        self.add(name, tuple(np.linalg.norm(t, axis=-1) for t in terms), scale, factor)
+
+
+class _NoScaleNumpy:
+    """numpy without abs and sqrt, for the modules whose suite code may take no size."""
+
+    def __getattr__(self, name):
+        if name in ("abs", "absolute", "sqrt"):
+            raise AssertionError(f"a suite body called np.{name}")
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("dim", core.VALID_DIMS)
+@pytest.mark.parametrize("name", sorted(_DRAWS))
+def test_suite_bodies_take_every_norm_from_the_recorder(name, dim, monkeypatch):
+    # the bodies hand over differences and ask the recorder for every norm, so a
+    # recorder that overrides norms, add and add_norm needs no second code path
+    suite = next(s for s in verify._SUITES if s.name == name)
+    draws = verify._draw_block(suite, RunConfig(seed=42, trials=40), dim, 0, 40)
+
+    def refuse(x):
+        raise AssertionError("a suite body took a norm itself")
+
+    for module in (verify, verify.ops):
+        monkeypatch.setattr(module, "_norm", refuse)
+        monkeypatch.setattr(module, "np", _NoScaleNumpy())
+    ch = _UnitScales(Tolerance())
+    suite.per_trial(dim, draws, ch)
+    pinned = CHANNELS[(name, 8 if dim == 8 else 4)] - {"component3_public_api", "bac_cab"}
+    assert set(ch.maxima) == (pinned if dim >= 4 else pinned - {"cross2_matches_3d_cross"})
+    assert all(np.isfinite(v) for v in ch.maxima.values())
+
+
 def test_run_all_passes_at_200_trials():
     reports = run_all(RunConfig(seed=42, trials=200, dims=(4, 8)))
     assert len(reports) == 11
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_all_passes_every_suite_with_no_absolute_tolerance():
+    # with abs 0 nothing lifts a zero scale: at dim 1 no argument has an imaginary
+    # part, and only the bridge's floor keeps its bac_cab 0/0 from recording inf
+    tol = Tolerance(abs=0.0)
+    reports = run_all(RunConfig(seed=42, trials=200, dims=(1, 2, 4, 8), tolerance=tol))
+    assert len(reports) == 21
+    assert [(r.suite, r.dim) for r in reports if not r.passed] == []
 
 
 @pytest.mark.parametrize("suites", (("nope",), ("core", "nope"), (), "core", "nope"),
@@ -777,3 +833,22 @@ def test_cli_hadamard_perms_requires_order_8():
     res = run_cli("hadamard", "4", "--perms")
     assert res.returncode == 2
     assert res.stdout == ""
+
+
+# -- CLI: a reader that has gone -------------------------------------------------
+
+
+@pytest.mark.parametrize("args", (("hadamard", "8", "--perms", "--list-symmetric"),
+                                  ("decompose", QUATERNION_TRIPLE)), ids=("hadamard", "decompose"))
+def test_cli_exits_141_in_silence_when_stdout_has_no_reader(args):
+    # as `octotriple ... | head -1` does, but deterministic: the read end of the
+    # pipe is closed before the child starts, so its first write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", "octotriple", *args], stdout=write,
+                             stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert res.returncode == 141
+    assert res.stderr == b""
