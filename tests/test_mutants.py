@@ -1,6 +1,6 @@
 """The verifier must reject a wrong algebra, not only pass the right one.
 
-Two mutant classes, each applied by monkeypatching:
+Three mutant classes, each applied by monkeypatching:
 
 - one entry of the product sign table flipped.  Each of the 1 + 4 + 16 + 64
   entries at dims 1, 2, 4 and 8 is flipped in turn in
@@ -18,6 +18,10 @@ Two mutant classes, each applied by monkeypatching:
   -1; at dims 1 and 2 those rows vanish in exact arithmetic, so there the
   mutant is equivalent, and the test asserts that the rows it changes are
   at rounding level.
+
+A counted channel that no mutant moves off 0.0 checks nothing that these
+mutants break; at dims 4 and 8 only five channels may be such, each pinned
+with the reason no mutant can reach it.
 """
 
 import numpy as np
@@ -124,3 +128,50 @@ def test_per_trial_suites_catch_every_butterfly_flip(stage, caught_dims, monkeyp
                 changed = mutant(values) != want
                 bound = 4 * np.finfo(float).eps * np.max(np.abs(values))
                 assert np.all(np.abs(want[changed]) <= bound)
+
+
+def _mutants(dim):
+    """Every mutant above at dim, as the monkeypatch calls that apply it."""
+    for i in range(dim):
+        for k in range(dim):
+            yield (("setattr", core, "_product_tables", _flipped_tables(dim, i, k)),)
+    for word, mutant in _plan_mutants(dim):
+        yield (("setitem", operators._PLANS, word, mutant),)
+    for stage in range(3):
+        mutant = _flipped_butterfly(stage)
+        # operators binds the transform by name; hadamard is patched for any other caller
+        yield (("setattr", hadamard, "transform", mutant),
+               ("setattr", operators, "transform", mutant))
+
+
+# the counted channels that stay exactly 0.0 under every mutant, and why
+_UNMOVED = {
+    # they check _conjugate and _imaginary_part, which no mutant touches
+    "conjugation_formula", "conjugation_involution", "imaginary_part",
+    # the scalar part of u1 u2 - u2 u1 sums the same products a_i b_i s[i, 0] in the
+    # same order whatever the signs, so only a wrong index table would move it
+    "cross2_orthogonal_to_unit",
+    # an inequality, recorded as max(0, -det) of the Gram matrix of the arguments:
+    # that matrix holds inner products alone, which no mutant touches
+    "gram_positive_semidefinite",
+}
+
+
+def _counted_channels(config):
+    """name -> maximum of each counted channel of the per-trial suites; no two suites
+    share a channel name."""
+    return {k: v for r in run_all(config, suites=PER_TRIAL_SUITES)
+            for k, v in r.details["channels"].items() if not k.startswith("info:")}
+
+
+def test_no_counted_channel_but_five_is_zero_under_every_mutant(monkeypatch):
+    every, moved = set(), set()
+    for dim in (4, 8):
+        config = RunConfig(seed=1, trials=4, dims=(dim,))
+        every |= set(_counted_channels(config))
+        for patches in _mutants(dim):
+            with monkeypatch.context() as m:
+                for method, target, key, value in patches:
+                    getattr(m, method)(target, key, value)
+                moved |= {k for k, v in _counted_channels(config).items() if v != 0.0}
+    assert every - moved == _UNMOVED
