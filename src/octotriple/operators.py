@@ -176,23 +176,22 @@ class TripleOperator:
 def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
     """Evaluate the word-transformed operator at u."""
     u1, u2, x = _coeffs(op.u1, op.u2, u)
-    return Hyper._wrap(op.dim, _word_value_list(u1, u2, x, (word,))[0])
+    return Hyper._wrap(op.dim, _word_values(u1, u2, x, (word,))[0])
 
 
 def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
                      word: OpWord = IDENTITY_WORD) -> float:
     """|(A^w u, v) - (u, A^{w+} v)|: how far the +-partner is from the true adjoint."""
     u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
-    lhs = _inner(_word_value_list(u1, u2, x, (word,))[0], y)
-    rhs = _inner(x, _word_value_list(u1, u2, y, (word.compose(OpWord(plus=True)),))[0])
+    lhs = _inner(_word_values(u1, u2, x, (word,))[0], y)
+    rhs = _inner(x, _word_values(u1, u2, y, (word.compose(OpWord(plus=True)),))[0])
     return float(abs(lhs - rhs))
 
 
 def _materialize(u1: np.ndarray, u2: np.ndarray, word: OpWord) -> np.ndarray:
     """Array form of materialize: (..., dim, dim), column k the image of basis element k:
     one word value over the rows of the identity, with the last two axes swapped."""
-    rows = _word_value_list(u1[..., None, :], u2[..., None, :], np.eye(u1.shape[-1]),
-                            (word,))[0]
+    rows = _word_values(u1[..., None, :], u2[..., None, :], np.eye(u1.shape[-1]), (word,))[0]
     return np.swapaxes(rows, -1, -2)
 
 
@@ -209,8 +208,8 @@ _WORD_INDEX = np.arange(len(ALL_WORDS))
 _EPS_PLUS = np.array([s.eps_plus for s in ALL_SIGN_TRIPLES])
 
 
-def _word_value_list(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, words) -> list:
-    """A^w u for each word, as a list in the given order.
+def _word_values(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, words=ALL_WORDS) -> np.ndarray:
+    """A^w u for each word, stacked along a new first axis in the given order.
 
     Of u1, u2 and u, only those that some word bars are conjugated, each once
     per call, not once per word; each word's operands and bracketing come
@@ -219,14 +218,9 @@ def _word_value_list(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, words) -> li
     operand = [u1, u2, u, None, None, None]
     for slot in {s for plan in plans for s in plan[:3] if s > 2}:
         operand[slot] = _conjugate(operand[slot - 3])
-    return [_multiply(_multiply(operand[x], operand[c]), operand[y]) if left_assoc
-            else _multiply(operand[x], _multiply(operand[c], operand[y]))
-            for x, c, y, left_assoc in plans]
-
-
-def _word_values(u1: np.ndarray, u2: np.ndarray, u: np.ndarray, words=ALL_WORDS) -> np.ndarray:
-    """A^w u for each word, stacked along a new first axis in the given order."""
-    return np.array(_word_value_list(u1, u2, u, words))
+    return np.array([_multiply(_multiply(operand[x], operand[c]), operand[y]) if left_assoc
+                     else _multiply(operand[x], _multiply(operand[c], operand[y]))
+                     for x, c, y, left_assoc in plans])
 
 
 def _components(values: np.ndarray) -> np.ndarray:
@@ -260,8 +254,9 @@ def _eigen_residuals(b_u: np.ndarray, b_v: np.ndarray, u: np.ndarray, v: np.ndar
 
 def component3_eigen_residuals(op: TripleOperator, signs: SignTriple, u: Hyper, v: Hyper) -> float:
     """|(B u, v) - eps_+ (u, B v)| for the component B = component3(op, signs, .), whose
-    adjoint must be eps_+ B.  B^* = eps_* B and B^v = eps_v B need no residual: the
-    transform of the word values reordered by * or v is the sign-flipped B bit for bit."""
+    adjoint must be eps_+ B.  B^* = eps_* B and B^v = eps_v B get no residual here: word
+    values reordered by * or v give the sign-flipped B bit for bit.  The tests check them
+    by their definitions, from the components at conjugated arguments."""
     u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
     b_u, b_v = (_components(_word_values(u1, u2, w)) for w in (x, y))
     return float(abs(_eigen_residuals(b_u, b_v, x, y)[ALL_SIGN_TRIPLES.index(signs)]))

@@ -147,26 +147,18 @@ def test_criterion_06_operator_symmetry():
                       for word in operators.ALL_WORDS)
         worst = max(worst, _ratio(pairing, REL_VECTOR, sv))
 
-        # eigen-relations of all eight three-operation components
-        values_u = {w: operators.apply(op, w, u) for w in operators.ALL_WORDS}
-        values_v = {w: operators.apply(op, w, v) for w in operators.ALL_WORDS}
-
-        def combine(values, signs, shift=operators.OpWord()):
-            acc = Hyper.zero(8)
-            for w in operators.ALL_WORDS:
-                coef = ((signs.eps_plus if w.plus else 1)
-                        * (signs.eps_star if w.star else 1)
-                        * (signs.eps_vee if w.vee else 1))
-                acc = acc + coef * values[w.compose(shift)]
-            return acc / 8
-
+        # eigen-relations of all eight three-operation components, * and v by their
+        # definitions: * reverses every product, and conj((conj(x) conj(c)) conj(y))
+        # = y (c x); v conjugates the argument, then the product
+        op_bar = operators.TripleOperator(conjugate(u1), conjugate(u2))
+        u_bar = conjugate(u)
         for signs in operators.ALL_SIGN_TRIPLES:
-            b_u = combine(values_u, signs)
-            b_v = combine(values_v, signs)
+            b_u = operators.component3(op, signs, u)
+            b_v = operators.component3(op, signs, v)
             r_plus = abs(inner(b_u, v) - signs.eps_plus * inner(u, b_v))
-            r_star = norm(combine(values_u, signs, operators.OpWord(star=True))
+            r_star = norm(conjugate(operators.component3(op_bar, signs, u_bar))
                           - signs.eps_star * b_u)
-            r_vee = norm(combine(values_u, signs, operators.OpWord(vee=True))
+            r_vee = norm(conjugate(operators.component3(op, signs, u_bar))
                          - signs.eps_vee * b_u)
             worst = max(worst,
                         _ratio(r_plus, REL_VECTOR, sv),

@@ -10,7 +10,8 @@ Three mutant classes, each applied by monkeypatching:
   has one of its three bars toggled, at dims 2, 4 and 8 (conjugation is
   the identity at dim 1), or, at dim 8 only, its bracketing swapped (the
   product is associative at dims up to 4).  The per-trial suites together
-  must fail on every such plan;
+  must fail on every such plan, and so must the * and v relations checked
+  by their definitions on one block;
 - one butterfly stage of `hadamard.transform` with its difference negated.
   The per-trial suites together must fail on the stage-0 and stage-1 flips
   at every dim, and on the stage-2 flip at dims 4 and 8.  Stage 2 exists
@@ -75,6 +76,43 @@ def test_per_trial_suites_catch_every_plan_mutant(dim, monkeypatch):
         with monkeypatch.context() as m:
             m.setitem(operators._PLANS, word, mutant)
             if all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES)):
+                missed.append((word.label, mutant))
+    assert missed == []
+
+
+_EPS_STAR_VEE = np.array([[s.eps_star for s in operators.ALL_SIGN_TRIPLES],
+                          [s.eps_vee for s in operators.ALL_SIGN_TRIPLES]])[..., None, None]
+
+
+def _star_vee_residual(dim):
+    """The larger of the * and v relations of every component on a 16-row block,
+    relative to |u1| |u2| |u|."""
+    u1, u2, u = np.random.default_rng(dim).standard_normal((3, 16, dim))
+    conj = core._conjugate
+    b = operators._components(operators._word_values(u1, u2, u))
+    star = conj(operators._components(operators._word_values(conj(u1), conj(u2), conj(u))))
+    vee = conj(operators._components(operators._word_values(u1, u2, conj(u))))
+    residual = np.linalg.norm(np.array((star, vee)) - _EPS_STAR_VEE * b, axis=-1)
+    scale = np.linalg.norm(u1, axis=-1) * np.linalg.norm(u2, axis=-1) * np.linalg.norm(u, axis=-1)
+    return float(np.max(residual / scale))
+
+
+# The * and v relations by their definitions: * reverses every product, and
+# conj((conj(x) conj(c)) conj(y)) = y (c x), so conj(A'^w(conj u)) = A^(w*)(u) with A'
+# the operator of conj(u1) and conj(u2); v conjugates the argument, then the product,
+# so conj(A^w(conj u)) = A^(wv)(u).  One product serves both sides.  Beyond every plan
+# mutant they catch 70 of the 85 sign-table flips: the 15 they miss flip a square
+# e_i e_i, which adds to the scalar part a term symmetric in the two factors and
+# unchanged by conjugating both, so conj(a b) = conj(b) conj(a) still holds.  They
+# catch no butterfly flip, which negates the same rows on both sides.
+@pytest.mark.parametrize("dim", (2, 4, 8))
+def test_star_and_vee_definitions_catch_every_plan_mutant(dim, monkeypatch):
+    assert _star_vee_residual(dim) <= 1e-14
+    missed = []
+    for word, mutant in _plan_mutants(dim):
+        with monkeypatch.context() as m:
+            m.setitem(operators._PLANS, word, mutant)
+            if _star_vee_residual(dim) <= 1e-9:
                 missed.append((word.label, mutant))
     assert missed == []
 

@@ -321,12 +321,20 @@ def test_component3_telescopes_to_component2():
             vec_close(merged, component2(op, ep, es, u), s)
 
 
-@pytest.mark.parametrize("dim", (4, 8))
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
 def test_component3_eigen_relations(dim):
+    # * and v by their definitions: * reverses every product, and
+    # conj((conj(x) conj(c)) conj(y)) = y (c x); v conjugates the argument,
+    # then the product
     for _ in range(5):
         op = random_op(dim)
+        op_bar = TripleOperator(conjugate(op.u1), conjugate(op.u2))
         u, v = rand(dim), rand(dim)
-        sv = norm(op.u1) * norm(op.u2) * norm(u) * norm(v)
+        s = norm(op.u1) * norm(op.u2) * norm(u)
+        sv = s * norm(v)
         for signs in ALL_SIGN_TRIPLES:
             r_plus = component3_eigen_residuals(op, signs, u, v)
             assert r_plus <= 1e-12 + 1e-9 * sv
+            b_u = component3(op, signs, u)
+            vec_close(conjugate(component3(op_bar, signs, conjugate(u))), signs.eps_star * b_u, s)
+            vec_close(conjugate(component3(op, signs, conjugate(u))), signs.eps_vee * b_u, s)
