@@ -12,8 +12,8 @@ library's primitives and verified numerically:
 
 Each check returns a residual norm so a verifier can run it over random
 trials.  The displays are transcribed exactly as published; nothing is
-"corrected", and the BAC-CAB check exposes a sign switch so a verifier
-can report which variant actually holds.
+"corrected".  BAC-CAB has no sign switch: it is checked as printed, and an
+associator of the opposite sign fails it.
 
 Every public function is its array form `_name` lifted by `core._lift`;
 the verify suites call the array forms on whole blocks.
@@ -29,19 +29,16 @@ from .core import multiply  # noqa: F401
 from .triple import _associator3, _commutator3, _cross2, _decompose_triple
 
 
-def _bac_cab_residual(a, b, c, flip_sign=False):
+def _bac_cab_residual(a, b, c):
     """Residual of [A,[B,C]] - B (A,C) + C (A,B) = <A,B,C>.
 
     The relation is stated for imaginary vectors, so arguments are
-    projected first.  `flip_sign` tests the variant with -<A,B,C>, kept
-    for verifiers because the associator convention differs by a factor
-    of -2 across sources.
+    projected first.
     """
     av, bv, cv = _imaginary_part(a), _imaginary_part(b), _imaginary_part(c)
     lhs = (_cross2(av, _cross2(bv, cv)) - _inner(av, cv)[..., None] * bv
            + _inner(av, bv)[..., None] * cv)
-    rhs = _associator3(av, bv, cv)
-    return _norm(lhs + rhs if flip_sign else lhs - rhs)
+    return _norm(lhs - _associator3(av, bv, cv))
 
 
 def _okubo_reconstruction_residual(u1, u, u2):

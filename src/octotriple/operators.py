@@ -155,6 +155,14 @@ def _derive_plans() -> dict[OpWord, tuple]:
 _PLANS = _derive_plans()
 
 
+def _checked(table: dict, value, name: str, kind: str):
+    """table[value] for a public argument, or a ValueError that names it."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):   # TypeError: an unhashable value
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+
+
 # -- the operator ------------------------------------------------------------
 
 
@@ -175,6 +183,7 @@ class TripleOperator:
 
 def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
     """Evaluate the word-transformed operator at u."""
+    _checked(_PLANS, word, "word", "an OpWord")
     u1, u2, x = _coeffs(op.u1, op.u2, u)
     return Hyper._wrap(op.dim, _word_values(u1, u2, x, (word,))[0])
 
@@ -182,6 +191,7 @@ def apply(op: TripleOperator, word: OpWord, u: Hyper) -> Hyper:
 def adjoint_residual(op: TripleOperator, u: Hyper, v: Hyper,
                      word: OpWord = IDENTITY_WORD) -> float:
     """|(A^w u, v) - (u, A^{w+} v)|: how far the +-partner is from the true adjoint."""
+    _checked(_PLANS, word, "word", "an OpWord")
     u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
     lhs = _inner(_word_values(u1, u2, x, (word,))[0], y)
     rhs = _inner(x, _word_values(u1, u2, y, (word.compose(OpWord(plus=True)),))[0])
@@ -199,12 +209,14 @@ def materialize(op: TripleOperator, word: OpWord = IDENTITY_WORD) -> np.ndarray:
     """Dense dim x dim matrix of the word-transformed operator (column k is
     the image of basis element k).  Second, matrix-level route to the adjoint:
     the +-partner's matrix must be the transpose."""
+    _checked(_PLANS, word, "word", "an OpWord")
     return _materialize(op.u1.coeffs, op.u2.coeffs, word)
 
 
 # -- symmetric / skew-symmetric components -----------------------------------
 
 _WORD_INDEX = np.arange(len(ALL_WORDS))
+_SIGN_ROWS = {signs: g for g, signs in enumerate(ALL_SIGN_TRIPLES)}
 _EPS_PLUS = np.array([s.eps_plus for s in ALL_SIGN_TRIPLES])
 
 
@@ -234,14 +246,14 @@ def component2(op: TripleOperator, eps_plus: int, eps_star: int, u: Hyper) -> Hy
     (+1,+1) is the triple anticommutator, (-1,-1) the triple commutator,
     (-1,+1) the associator and (+1,-1) vanishes identically.
     """
-    row = ALL_SIGN_TRIPLES.index(SignTriple(eps_plus, eps_star, 1))
+    row = _SIGN_ROWS[SignTriple(eps_plus, eps_star, 1)]
     values = _word_values(*_coeffs(op.u1, op.u2, u), TWO_OP_WORDS)
     return Hyper._wrap(op.dim, _components(values)[row])
 
 
 def component3(op: TripleOperator, signs: SignTriple, u: Hyper) -> Hyper:
     """Average over all eight words with signs eps_+^a eps_*^b eps_v^c."""
-    row = ALL_SIGN_TRIPLES.index(signs)
+    row = _checked(_SIGN_ROWS, signs, "signs", "a SignTriple")
     return Hyper._wrap(op.dim, _components(_word_values(*_coeffs(op.u1, op.u2, u)))[row])
 
 
@@ -257,6 +269,7 @@ def component3_eigen_residuals(op: TripleOperator, signs: SignTriple, u: Hyper, 
     adjoint must be eps_+ B.  B^* = eps_* B and B^v = eps_v B get no residual here: word
     values reordered by * or v give the sign-flipped B bit for bit.  The tests check them
     by their definitions, from the components at conjugated arguments."""
+    row = _checked(_SIGN_ROWS, signs, "signs", "a SignTriple")
     u1, u2, x, y = _coeffs(op.u1, op.u2, u, v)
     b_u, b_v = (_components(_word_values(u1, u2, w)) for w in (x, y))
-    return float(abs(_eigen_residuals(b_u, b_v, x, y)[ALL_SIGN_TRIPLES.index(signs)]))
+    return float(abs(_eigen_residuals(b_u, b_v, x, y)[row]))

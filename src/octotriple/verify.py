@@ -543,8 +543,7 @@ def _bridge_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None
     ch.add("okubo_reconstruction", br._okubo_reconstruction_residual(u1, u, u2), s)
     ch.add("okubo_bracket_display", br._okubo_bracket_display_residual(u1, u, u2), s)
     ch.add("dray_manogue_decomposition", br._dray_manogue_residual(u1, u, u2), s)
-    ch.add("info:bac_cab_printed", br._bac_cab_residual(u1, u, u2), si)
-    ch.add("info:bac_cab_flipped", br._bac_cab_residual(u1, u, u2, flip_sign=True), si)
+    ch.add("bac_cab", br._bac_cab_residual(u1, u, u2), si)
 
 
 def _bridge_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
@@ -555,18 +554,7 @@ def _bridge_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
     ch.add("okubo_reconstruction", br.okubo_reconstruction_residual(u1, u, u2), s)
     ch.add("okubo_bracket_display", br.okubo_bracket_display_residual(u1, u, u2), s)
     ch.add("dray_manogue_decomposition", br.dray_manogue_residual(u1, u, u2), s)
-    ch.add("info:bac_cab_printed", br.bac_cab_residual(u1, u, u2), si)
-    ch.add("info:bac_cab_flipped", br.bac_cab_residual(u1, u, u2, flip_sign=True), si)
-
-
-def _bridge_details(ch: Channels) -> dict:
-    printed = ch.maxima.get("info:bac_cab_printed", 0.0)
-    flipped = ch.maxima.get("info:bac_cab_flipped", 0.0)
-    if printed <= ch.tol.rel or printed <= flipped:
-        ch.maxima["bac_cab"] = printed
-        return {"bac_cab_variant": "as_printed"}
-    ch.maxima["bac_cab"] = flipped
-    return {"bac_cab_variant": "sign_flipped"}
+    ch.add("bac_cab", br.bac_cab_residual(u1, u, u2), si)
 
 
 # -- engine --------------------------------------------------------------------
@@ -591,8 +579,7 @@ _SUITES = (
     _Suite("operator", per_trial=_operator_suite, public=_operator_public,
            postprocess=_operator_details, vectors=4, scalars=2),
     _Suite("hadamard", once=_hadamard_suite),
-    _Suite("bridge", per_trial=_bridge_suite, public=_bridge_public,
-           postprocess=_bridge_details, vectors=3),
+    _Suite("bridge", per_trial=_bridge_suite, public=_bridge_public, vectors=3),
 )
 
 SUITE_INDEX = {s.name: i for i, s in enumerate(_SUITES)}

@@ -394,8 +394,7 @@ _HADAMARD = {
     "asymmetric_count", "automorphism_count", "automorphisms_preserve_columns",
     "group_closure", "group_inverse", "identity_included", "inverse_up_to_factor",
     "normalized", "row_group", "row_group_detects_flip", "symmetric", "symmetric_count"}
-_BRIDGE = {"bac_cab", "dray_manogue_decomposition",
-           "info:bac_cab_flipped", "info:bac_cab_printed", "okubo_bracket_display",
+_BRIDGE = {"bac_cab", "dray_manogue_decomposition", "okubo_bracket_display",
            "okubo_reconstruction"}
 CHANNELS = {
     ("core", 4): _CORE | {"associativity"},
@@ -480,7 +479,7 @@ def test_suite_bodies_take_every_norm_from_the_recorder(name, dim, monkeypatch):
         monkeypatch.setattr(module, "np", _NoScaleNumpy())
     ch = _UnitScales(Tolerance())
     suite.per_trial(dim, draws, ch)
-    pinned = CHANNELS[(name, 8 if dim == 8 else 4)] - {"component3_public_api", "bac_cab"}
+    pinned = CHANNELS[(name, 8 if dim == 8 else 4)] - {"component3_public_api"}
     assert set(ch.maxima) == (pinned if dim >= 4 else pinned - {"cross2_matches_3d_cross"})
     assert all(np.isfinite(v) for v in ch.maxima.values())
 
@@ -517,10 +516,13 @@ def test_tightened_tolerance_fails_honestly():
     assert not all(r.passed for r in reports)
 
 
-def test_bridge_details_report_the_printed_variant():
-    config = RunConfig(seed=7, trials=10, dims=(8,))
-    (rep,) = run_all(config, suites=("bridge",))
-    assert rep.details["bac_cab_variant"] == "as_printed"
+def test_bac_cab_fails_on_a_negated_associator(monkeypatch):
+    # BAC-CAB is checked as printed: no sign variant rescues a flipped associator
+    associator3 = verify.br._associator3
+    monkeypatch.setattr(verify.br, "_associator3", lambda *args: -associator3(*args))
+    (rep,) = run_all(RunConfig(seed=7, trials=10, dims=(8,)), suites=("bridge",))
+    assert rep.details["channels"]["bac_cab"] > rep.tolerance_used
+    assert not rep.passed
 
 
 def test_operator_details_report_vanishing_components():

@@ -78,6 +78,34 @@ def test_op_word_flags_are_bools(flags):
         OpWord(**flags)
 
 
+_OP4, _U4 = TripleOperator(unit(4), unit(4)), unit(4)   # no draw from RNG
+
+
+@pytest.mark.parametrize("call", (
+    lambda word: apply(_OP4, word, _U4),
+    lambda word: materialize(_OP4, word),
+    lambda word: adjoint_residual(_OP4, _U4, _U4, word),
+), ids=("apply", "materialize", "adjoint_residual"))
+@pytest.mark.parametrize("word", ("e", None, (True, False, False), ["+"]),
+                         ids=("label", "none", "tuple", "unhashable"))
+def test_an_argument_that_is_not_a_word_names_itself(call, word, monkeypatch):
+    monkeypatch.setattr(operators, "_word_values", None)   # nothing is evaluated first
+    with pytest.raises(ValueError, match=r"^word must be an OpWord, got "):
+        call(word)
+
+
+@pytest.mark.parametrize("call", (
+    lambda signs: component3(_OP4, signs, _U4),
+    lambda signs: component3_eigen_residuals(_OP4, signs, _U4, _U4),
+), ids=("component3", "component3_eigen_residuals"))
+@pytest.mark.parametrize("signs", ((1, 1, 1), None, "(+1,+1,+1)", [1, 1, 1], OpWord()),
+                         ids=("tuple", "none", "label", "unhashable", "word"))
+def test_an_argument_that_is_not_a_sign_triple_names_itself(call, signs, monkeypatch):
+    monkeypatch.setattr(operators, "_word_values", None)   # nothing is evaluated first
+    with pytest.raises(ValueError, match=r"^signs must be a SignTriple, got "):
+        call(signs)
+
+
 def test_op_word_accepts_numpy_bools():
     word = OpWord(plus=np.bool_(True), vee=np.bool_(False))
     assert word == OpWord(plus=True)
