@@ -22,6 +22,20 @@ arguments and the commutator via pair cross products.
 The parts, `cross2`, `pair_product_expansion` and the closed-form lengths
 are their array forms lifted by `core._lift`; `decompose_triple`, the Gram
 functions and `det3` return types of their own and are written out.
+
+The three closed-form lengths, the anticommutative component's length and
+the imaginary Gram identity all come from one set of terms of the triple:
+|u1|^2 |u|^2 |u2|^2, the Gram determinants of the arguments and of their
+imaginary parts, and ([u1,u],u2), each combined in the order of its
+formula, so sharing the terms changes no bit.  `_length_terms` keeps the
+last triple's terms in one module-level entry and serves them only to a
+call on the same three array objects, each read-only and owning its data:
+the coefficients of a `Hyper` built by `Hyper(...)` or by arithmetic, and
+verify's drawn blocks.  A view, such as a part of `decompose_triple`, and a
+writable array are evaluated afresh on every call; an array made writable,
+changed and made read-only again is outside the contract.  The entry holds
+its three arrays, so no id is reused while it lives: up to 786 KB of
+arguments, and 128 KB of terms, after a 4096-row block.
 """
 
 from __future__ import annotations
@@ -240,27 +254,60 @@ def gram_imaginary(u1: Hyper, u: Hyper, u2: Hyper) -> GramMatrix:
     return GramMatrix(_gram_imaginary(*_coeffs(u1, u, u2)))
 
 
+# The last triple whose length terms `_length_terms` computed: ((u1, u, u2), terms),
+# replaced as one tuple, so a thread reads a whole entry or none.  It holds its three
+# arrays, so no id is reused while it lives, and it serves only the same three objects,
+# each read-only and owning its data, so no view can have written to them.
+_LAST_TERMS = None
+
+
+def _frozen(x: np.ndarray) -> bool:
+    return not x.flags.writeable and x.base is None
+
+
+def _length_terms(u1, u, u2):
+    """(|u1|^2 |u|^2 |u2|^2, det Gram, det Gram of imaginary parts, ([u1,u],u2)).
+
+    The three closed-form lengths are combinations of these four terms, and
+    every caller asks for all three of one triple, so the last triple's terms
+    are kept and served to a call on the same three frozen arrays."""
+    global _LAST_TERMS
+    last = _LAST_TERMS
+    if (last is not None and last[0][0] is u1 and last[0][1] is u and last[0][2] is u2
+            and _frozen(u1) and _frozen(u) and _frozen(u2)):
+        return last[1]
+    x = _rows3(u1, u, u2)
+    terms = (_norm_sq(u1) * _norm_sq(u) * _norm_sq(u2), _det3(_gram_rows(x)),
+             _det3(_gram_rows(x[..., 1:])), _inner(_cross2(u1, u), u2))
+    if _frozen(u1) and _frozen(u) and _frozen(u2):
+        if x.ndim > 2:   # a block's terms are arrays that every later caller shares
+            for t in terms:
+                t.setflags(write=False)
+        _LAST_TERMS = (u1, u, u2), terms
+    return terms
+
+
 def _anticommutator3_norm_sq(u1, u, u2):
     """|{u1,u,u2}|^2 = |u1|^2 |u|^2 |u2|^2 - det(Gram)."""
-    return _norm_sq(u1) * _norm_sq(u) * _norm_sq(u2) - _det3(_gram(u1, u, u2))
+    prod_sq, det, _, _ = _length_terms(u1, u, u2)
+    return prod_sq - det
 
 
 def _commutator3_norm_sq(u1, u, u2):
     """|[u1,u,u2]|^2 = ([u1,u],u2)^2 + det(Gram) - det(Gram of imaginary parts)."""
-    s = _inner(_cross2(u1, u), u2)
-    x = _rows3(u1, u, u2)
-    return s * s + _det3(_gram_rows(x)) - _det3(_gram_rows(x[..., 1:]))
+    _, det, det_imaginary, s = _length_terms(u1, u, u2)
+    return s * s + det - det_imaginary
 
 
 def _associator3_norm_sq(u1, u, u2):
     """|<u1,u,u2>|^2 = det(Gram of imaginary parts) - ([u1,u],u2)^2."""
-    s = _inner(_cross2(u1, u), u2)
-    return _det3(_gram_imaginary(u1, u, u2)) - s * s
+    _, _, det_imaginary, s = _length_terms(u1, u, u2)
+    return det_imaginary - s * s
 
 
 def _anticommutative_component_norm_sq(u1, u, u2):
     """|[u1,u,u2] + <u1,u,u2>|^2 = det(Gram of the arguments)."""
-    return _det3(_gram(u1, u, u2))
+    return _length_terms(u1, u, u2)[1]
 
 
 anticommutator3_norm_sq = _lift(_anticommutator3_norm_sq)
@@ -270,10 +317,9 @@ anticommutative_component_norm_sq = _lift(_anticommutative_component_norm_sq)
 
 
 def _gram_det_imaginary_identity(u1, u, u2):
+    _, det, det_imaginary, _ = _length_terms(u1, u, u2)
     x = _rows3(u1, u, u2)
-    conjugated = x @ _conjugate(x).swapaxes(-1, -2)
-    lhs = _det3(_gram_rows(x[..., 1:]))
-    return lhs, (_det3(_gram_rows(x)) - _det3(conjugated)) / 2
+    return det_imaginary, (det - _det3(x @ _conjugate(x).swapaxes(-1, -2))) / 2
 
 
 def gram_det_imaginary_identity(u1: Hyper, u: Hyper, u2: Hyper) -> tuple[float, float]:

@@ -599,6 +599,8 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
     before each row sets its state to the new generator's state (counter
     zero, buffer empty) with the row's key.  Philox is counter-based, so
     the re-keyed stream is exactly that of a new generator with the key.
+    Every block is read-only, so no suite body can change another's draws,
+    and `triple._length_terms` can serve its terms to each length form.
     """
     idx = SUITE_INDEX[suite.name]
     rows = np.empty((stop - start, suite.vectors * dim + suite.scalars))
@@ -616,7 +618,11 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
         generator.standard_normal(out=rows[r])
     vectors = rows[:, :suite.vectors * dim].reshape(stop - start, suite.vectors, dim)
     blocks = tuple(np.ascontiguousarray(vectors[:, i]) for i in range(suite.vectors))
-    return blocks + (rows[:, suite.vectors * dim:],) if suite.scalars else blocks
+    if suite.scalars:
+        blocks += (rows[:, suite.vectors * dim:],)
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport:

@@ -241,6 +241,17 @@ def test_block_row_t_is_trial_t_drawn_alone(name, dim):
             np.testing.assert_array_equal(block[-1][r], rng.standard_normal(suite.scalars))
 
 
+@pytest.mark.parametrize("rows", (1, 5))
+@pytest.mark.parametrize("name", sorted(_DRAWS))
+def test_every_drawn_block_is_read_only(name, rows):
+    # the operator suite's scalar block too: a suite body that wrote into its draws
+    # would change what later forms of the block see
+    suite = next(s for s in verify._SUITES if s.name == name)
+    for block in verify._draw_block(suite, RunConfig(seed=42, trials=9), 8, 0, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("seed", (0, 2**64 + 5))
 def test_rows_of_the_shared_generator_replay_alone(seed):
     # a block re-keys one generator per row: each row, up to the last trial

@@ -28,7 +28,7 @@ with the reason no mutant can reach it.
 import numpy as np
 import pytest
 
-from octotriple import core, hadamard, operators
+from octotriple import core, hadamard, operators, triple
 from octotriple.verify import _SUITES, RunConfig, run_all
 
 PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.per_trial is not None)
@@ -213,3 +213,41 @@ def test_no_counted_channel_but_five_is_zero_under_every_mutant(monkeypatch):
                     getattr(m, method)(target, key, value)
                 moved |= {k for k, v in _counted_channels(config).items() if v != 0.0}
     assert every - moved == _UNMOVED
+
+
+_LENGTHS = (triple.anticommutator3_norm_sq, triple.commutator3_norm_sq,
+            triple.associator3_norm_sq)
+
+
+def _lengths_run(config, coeffs):
+    """Bit patterns of the lengths suite's channel maxima, and of the three closed-form
+    lengths of new Hyper values of `coeffs` before and after the suite runs."""
+    def direct():
+        t = tuple(core.Hyper(len(x), x) for x in coeffs)
+        return [f(*t).hex() for f in _LENGTHS]
+
+    before = direct()
+    reports = run_all(config, suites=("lengths",))
+    maxima = [(r.dim, {k: float(v).hex() for k, v in r.details["channels"].items()})
+              for r in reports]
+    return before, maxima, direct(), all(r.passed for r in reports)
+
+
+# `triple._length_terms` keeps the last triple's terms.  No entry of a clean run may be
+# served in a mutant run: its draws and Hyper values are new objects, even where their
+# values are the clean run's last ones, so it reports what it reports after a reset
+@pytest.mark.parametrize("dim", (2, 4, 8))
+def test_no_length_terms_cross_into_a_mutant_run(dim, monkeypatch):
+    config = RunConfig(seed=1, trials=4, dims=(dim,))
+    coeffs = np.random.default_rng(dim).standard_normal((3, dim))
+    clean = _lengths_run(config, coeffs)
+    assert clean[3]
+    for i, k in ((1, 0), (0, dim - 1), (dim - 1, 1)):
+        with monkeypatch.context() as m:
+            m.setattr(core, "_product_tables", _flipped_tables(dim, i, k))
+            mutant = _lengths_run(config, coeffs)
+            m.setattr(triple, "_LAST_TERMS", None)
+            assert _lengths_run(config, coeffs) == mutant
+        assert mutant[1] != clean[1]
+        # a flipped s[i, 0] is the same in u1 u and u u1, so [u1, u] and the lengths keep it out
+        assert (mutant[0] != clean[0]) == (k != 0), (i, k)

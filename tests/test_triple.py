@@ -1,12 +1,19 @@
 import re
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import octotriple.triple as tp
 from octotriple.core import (
     DimensionError,
     Hyper,
+    _conjugate,
+    _inner,
+    _norm_sq,
     conjugate,
     inner,
     multiply,
@@ -500,3 +507,160 @@ def test_nearly_degenerate_triples_are_fine():
     s = norm(u1) * norm_sq(u)
     assert d.residual <= 1e-12 + 1e-9 * s
     assert abs(anticommutator3_norm_sq(u1, u, u) - norm_sq(d.anti)) <= 1e-12 + 1e-8 * s * s
+
+
+# -- the shared length terms ------------------------------------------------------
+# Each length form written out whole, computing its own terms; the forms that share
+# `tp._length_terms` must keep every bit of it.
+
+
+def _own_anti(u1, u, u2):
+    return _norm_sq(u1) * _norm_sq(u) * _norm_sq(u2) - tp._det3(tp._gram(u1, u, u2))
+
+
+def _own_comm(u1, u, u2):
+    s = _inner(tp._cross2(u1, u), u2)
+    x = tp._rows3(u1, u, u2)
+    return s * s + tp._det3(tp._gram_rows(x)) - tp._det3(tp._gram_rows(x[..., 1:]))
+
+
+def _own_assoc(u1, u, u2):
+    s = _inner(tp._cross2(u1, u), u2)
+    return tp._det3(tp._gram_imaginary(u1, u, u2)) - s * s
+
+
+def _own_component(u1, u, u2):
+    return tp._det3(tp._gram(u1, u, u2))
+
+
+def _own_gram_identity(u1, u, u2):
+    x = tp._rows3(u1, u, u2)
+    conjugated = x @ _conjugate(x).swapaxes(-1, -2)
+    lhs = tp._det3(tp._gram_rows(x[..., 1:]))
+    return lhs, (tp._det3(tp._gram_rows(x)) - tp._det3(conjugated)) / 2
+
+
+# public name -> its formula written out, in the order anti, comm, assoc, then the rest
+_OWN_FORMS = {
+    "anticommutator3_norm_sq": _own_anti,
+    "commutator3_norm_sq": _own_comm,
+    "associator3_norm_sq": _own_assoc,
+    "anticommutative_component_norm_sq": _own_component,
+    "gram_det_imaginary_identity": _own_gram_identity,
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _frozen_triple(dim, shape):
+    """Three read-only arrays that own their data: the arrays the terms are kept for."""
+    triple = tuple(RNG.standard_normal((*shape, dim)) for _ in range(3))
+    for x in triple:
+        x.setflags(write=False)
+    return triple
+
+
+def _call_order(order, first, second):
+    """(name, arguments) of each call: every form on `first`, forward or reversed,
+    or each form on `first` and then on `second`."""
+    names = list(_OWN_FORMS)
+    if order == "reverse":
+        return [(n, first) for n in reversed(names)]
+    if order == "interleaved":
+        return [(n, t) for n in names for t in (first, second)]
+    return [(n, first) for n in names]
+
+
+@pytest.mark.parametrize("order", ("forward", "reverse", "interleaved"))
+@pytest.mark.parametrize("shape", ((), (40,)), ids=("vector", "block40"))
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_length_forms_keep_the_bits_of_their_own_formulas(dim, shape, order):
+    first, second = _frozen_triple(dim, shape), _frozen_triple(dim, shape)
+    for name, args in _call_order(order, first, second):
+        want = _OWN_FORMS[name](*args)
+        assert _bits(getattr(tp, "_" + name)(*args)) == _bits(want), name
+    if not shape:   # the public functions, on Hyper values of the same coefficients
+        hypers = {id(t): tuple(Hyper(dim, x) for x in t) for t in (first, second)}
+        for name, args in _call_order(order, first, second):
+            want = _OWN_FORMS[name](*args)
+            got = getattr(tp, name)(*hypers[id(args)])
+            assert _bits(got) == _bits(want), name
+
+
+def test_three_lengths_of_one_hyper_triple_build_the_rows_once(monkeypatch):
+    rows3, calls = tp._rows3, []
+
+    def counted(*args):
+        calls.append(args)
+        return rows3(*args)
+
+    monkeypatch.setattr(tp, "_rows3", counted)
+    lengths = (anticommutator3_norm_sq, commutator3_norm_sq, associator3_norm_sq)
+    u1, u, u2 = rand(8), rand(8), rand(8)
+    values = [f(u1, u, u2) for f in lengths]
+    assert len(calls) == 1
+    # equal values in new Hyper objects are new arguments, evaluated again
+    again = tuple(Hyper(8, v.coeffs) for v in (u1, u, u2))
+    assert [f(*again) for f in lengths] == values
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("shape", ((), (40,)), ids=("vector", "block40"))
+def test_a_changed_argument_is_evaluated_afresh(shape):
+    # writable arrays, changed in place between calls
+    u1, u, u2 = (RNG.standard_normal((*shape, 8)) for _ in range(3))
+    before = tp._commutator3_norm_sq(u1, u, u2)
+    u1 *= 2.0
+    assert _bits(tp._commutator3_norm_sq(u1, u, u2)) == _bits(_own_comm(u1, u, u2)) != _bits(before)
+    # read-only views, changed through their writable base
+    base = RNG.standard_normal((3, *shape, 8))
+    views = tuple(base)
+    for x in views:
+        x.setflags(write=False)
+    before = tp._associator3_norm_sq(*views)
+    base[2] *= 3.0
+    assert _bits(tp._associator3_norm_sq(*views)) == _bits(_own_assoc(*views)) != _bits(before)
+    # frozen arrays made writable again and changed
+    frozen = _frozen_triple(8, shape)
+    before = tp._anticommutator3_norm_sq(*frozen)
+    middle = frozen[1]
+    middle.setflags(write=True)
+    middle *= 2.0
+    assert _bits(tp._anticommutator3_norm_sq(*frozen)) == _bits(_own_anti(*frozen)) != _bits(before)
+
+
+def test_threads_that_alternate_their_own_triples_get_their_own_lengths(monkeypatch):
+    lengths = (anticommutator3_norm_sq, commutator3_norm_sq, associator3_norm_sq)
+    frozen = tp._frozen
+
+    def yielding(x):   # gives up the interpreter lock inside each check of the kept entry
+        time.sleep(0)
+        return frozen(x)
+
+    # four threads on two cores, each alternating between two triples of its own
+    owned = [[(rand(8), rand(8), rand(8)) for _ in range(2)] for _ in range(4)]
+    want = [[[f(*t) for f in lengths] for t in pair] for pair in owned]
+    mismatches = []
+    monkeypatch.setattr(tp, "_frozen", yielding)
+
+    def work(k):
+        for i in range(400):
+            j = i % 2
+            got = [f(*owned[k][j]) for f in lengths]
+            if got != want[k][j]:
+                mismatches.append((k, j, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(owned))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
