@@ -132,7 +132,10 @@ class Hyper:
 
     @classmethod
     def _wrap(cls, dim: int, arr: np.ndarray) -> "Hyper":
-        # Fast path for freshly computed float64 arrays; skips validation.
+        # Fast path for freshly computed float64 arrays; skips validation.  A view
+        # (a row of a block, say) is copied, so no base array can change the value.
+        if arr.base is not None:
+            arr = arr.copy()
         obj = object.__new__(cls)
         arr.setflags(write=False)
         object.__setattr__(obj, "dim", dim)
@@ -343,12 +346,11 @@ def _lift(array_form):
     """The Hyper function `name` of the array form `_name`.
 
     It checks that its Hyper arguments share a dimension, calls the array
-    form on their coefficient vectors (keyword arguments pass through), and
-    returns a Hyper for a vector result and a float for a scalar one, be it
-    0-d or already a Python float.
+    form on their coefficient vectors, and returns a Hyper for a vector
+    result and a float for a scalar one, be it 0-d or already a Python float.
     """
-    def public(*args: Hyper, **kwargs):
-        out = array_form(*_coeffs(*args), **kwargs)
+    def public(*args: Hyper):
+        out = array_form(*_coeffs(*args))
         return float(out) if getattr(out, "ndim", 0) == 0 else Hyper._wrap(args[0].dim, out)
 
     update_wrapper(public, array_form)

@@ -30,9 +30,9 @@ imaginary parts, and ([u1,u],u2), each combined in the order of its
 formula, so sharing the terms changes no bit.  `_length_terms` keeps the
 last triple's terms in one module-level entry and serves them only to a
 call on the same three array objects, each read-only and owning its data:
-the coefficients of a `Hyper` built by `Hyper(...)` or by arithmetic, and
-verify's drawn blocks.  A view, such as a part of `decompose_triple`, and a
-writable array are evaluated afresh on every call; an array made writable,
+the coefficients of every `Hyper` (`Hyper._wrap` copies a view, so a part
+of `decompose_triple` owns its data too), and verify's drawn blocks.  A view
+and a writable array are evaluated afresh on every call; an array made writable,
 changed and made read-only again is outside the contract.  The entry holds
 its three arrays, so no id is reused while it lives: up to 786 KB of
 arguments, and 128 KB of terms, after a 4096-row block.
@@ -221,7 +221,7 @@ class GramMatrix:
         object.__setattr__(self, "entries", arr)
 
     def det(self) -> float:
-        return det3(self.entries)
+        return _det3(self.entries)   # entries are one read-only 3x3 float64 matrix
 
 
 def _rows3(u1, u, u2):

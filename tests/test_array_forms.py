@@ -172,3 +172,46 @@ def test_lift_returns_a_hyper_for_a_vector_result():
     out = core._lift(_double)(Hyper(4, x))
     assert isinstance(out, Hyper) and out.dim == 4
     assert out.coeffs.tobytes() == (2 * x).tobytes() and not out.coeffs.flags.writeable
+
+
+def _assert_owned(value, want):
+    """value's coefficients own their data, refuse a write and have want's bits."""
+    assert value.coeffs.base is None
+    with pytest.raises(ValueError):
+        value.coeffs[0] = 12345.0
+    assert value.coeffs.tobytes() == want.tobytes()
+
+
+# the public functions whose array form returns a row of a larger array: `Hyper._wrap`
+# copies such a view, so no write to a base array can change the value
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_decompose_triple_parts_own_their_coefficients(dim):
+    vectors = RNG.standard_normal((3, dim))
+    d = triple.decompose_triple(*(Hyper(dim, x) for x in vectors))
+    anti, comm, assoc, _ = triple._decompose_triple(*vectors)
+    for part, want in ((d.anti, anti), (d.comm, comm), (d.assoc, assoc)):
+        _assert_owned(part, want)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+@pytest.mark.parametrize("name", ("anticommutator3", "anticommutator3_alt", "associator3",
+                                  "associator3_alt", "commutator3", "commutator3_alt"))
+def test_lifted_parts_own_their_coefficients(name, dim):
+    vectors = RNG.standard_normal((3, dim))
+    value = getattr(triple, name)(*(Hyper(dim, x) for x in vectors))
+    _assert_owned(value, getattr(triple, "_" + name)(*vectors))
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_operator_values_own_their_coefficients(dim):
+    u1, u2, u = RNG.standard_normal((3, dim))
+    op = operators.TripleOperator(Hyper(dim, u1), Hyper(dim, u2))
+    h = Hyper(dim, u)
+    for word in operators.ALL_WORDS:
+        _assert_owned(operators.apply(op, word, h), operators._word_values(u1, u2, u, (word,))[0])
+    comps2 = operators._components(operators._word_values(u1, u2, u, operators.TWO_OP_WORDS))
+    comps3 = operators._components(operators._word_values(u1, u2, u))
+    for g, signs in enumerate(operators.ALL_SIGN_TRIPLES):
+        if g < 4:   # the two-operation rows: eps_v is +1
+            _assert_owned(operators.component2(op, signs.eps_plus, signs.eps_star, h), comps2[g])
+        _assert_owned(operators.component3(op, signs, h), comps3[g])

@@ -404,7 +404,8 @@ _HADAMARD = {
     "a4_printed", "a4_row_fixing_permutations", "a4_swap_column_order", "a8_row_ab",
     "asymmetric_count", "automorphism_count", "automorphisms_preserve_columns",
     "group_closure", "group_inverse", "identity_included", "inverse_up_to_factor",
-    "normalized", "row_group", "row_group_detects_flip", "symmetric", "symmetric_count"}
+    "normalized", "row_group", "row_group_detects_flip", "symmetric", "symmetric_count",
+    "info:column_set_preserving_count_order4", "info:column_set_preserving_count_order8"}
 _BRIDGE = {"bac_cab", "dray_manogue_decomposition", "okubo_bracket_display",
            "okubo_reconstruction"}
 CHANNELS = {
@@ -539,7 +540,10 @@ def test_bac_cab_fails_on_a_negated_associator(monkeypatch):
 def test_operator_details_report_vanishing_components():
     config = RunConfig(seed=7, trials=10, dims=(8,))
     (rep,) = run_all(config, suites=("operator",))
-    vanished = rep.details["vanishing_three_op_components"]
+    # a three-operation component vanishes where its info: norm channel is at most rel
+    vanished = [signs.label for signs in verify.ops.ALL_SIGN_TRIPLES
+                if rep.details["channels"][f"info:three_op_norm{signs.label}"]
+                <= config.tolerance.rel]
     # three of the eight three-operation components vanish numerically
     assert "(+1,-1,+1)" in vanished
     assert "(+1,-1,-1)" in vanished
@@ -550,8 +554,21 @@ def test_operator_details_report_vanishing_components():
 def test_hadamard_details_report_exploratory_count():
     config = RunConfig(seed=7, trials=1, dims=(8,))
     (rep,) = run_all(config, suites=("hadamard",))
-    assert rep.details["column_set_preserving_count_order4"] == 6
-    assert isinstance(rep.details["column_set_preserving_count_order8"], int)
+    channels = rep.details["channels"]
+    assert channels["info:column_set_preserving_count_order4"] == 6
+    assert channels["info:column_set_preserving_count_order8"] == 168
+
+
+def test_every_report_has_its_channels_as_its_only_details():
+    # a report reaches its reader through channels alone; info: channels never gate
+    reports = run_all(RunConfig(seed=7, trials=10, dims=(1, 2, 4, 8)))
+    assert len(reports) == 21
+    assert all(r.details.keys() == {"channels"} for r in reports)
+    (hadamard,) = (r for r in reports if r.suite == "hadamard")
+    assert hadamard.passed and hadamard.tolerance_used == 0.0 == hadamard.max_residual
+    channels = hadamard.details["channels"]
+    assert channels["info:column_set_preserving_count_order4"] == 6.0
+    assert channels["info:column_set_preserving_count_order8"] == 168.0
 
 
 def test_package_loads_each_module_on_first_use():

@@ -210,9 +210,9 @@ def test_verify_json_reports_168_column_preserving_permutations():
     with redirect_stdout(out):
         code = cli.main(["verify", "--suites", "hadamard", "--trials", "1", "--json"])
     assert code == 0
-    details = json.loads(out.getvalue())["details"]
-    assert details["column_set_preserving_count_order8"] == 168
-    assert details["column_set_preserving_count_order4"] == 6
+    channels = json.loads(out.getvalue())["details"]["channels"]
+    assert channels["info:column_set_preserving_count_order8"] == 168
+    assert channels["info:column_set_preserving_count_order4"] == 6
 
 
 def test_a4_column_preserving_permutations_fix_the_top_row():
