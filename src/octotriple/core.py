@@ -234,8 +234,9 @@ class Hyper:
 @lru_cache(maxsize=None)
 def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Index table i ^ k and sign table s[i, k] of i_i * i_{i^k} = s[i, k] * i_k."""
-    # m[i, j], the sign of i_i * i_j, doubles like hadamard.build: for basis elements
-    # x = i_i, y = i_j of the half algebra and c[j] the sign of conj(y), the blocks are
+    # m[i, j], the sign of i_i * i_j, doubles block by block, as the Sylvester recurrence
+    # builds hadamard.build's (-1)^popcount(i & j): for basis elements x = i_i, y = i_j of
+    # the half algebra and c[j] the sign of conj(y), the blocks are
     #   (x, 0)(y, 0) = (x*y, 0)              m
     #   (x, 0)(0, y) = (0, y*x)              m.T
     #   (0, x)(y, 0) = (0, x*conj(y))        m * c
@@ -276,7 +277,10 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Two vectors take one gather of b by the XOR table, one product with the
     sign table and one vector-matrix product by the `dot` method, which rounds
     as `@` does without the matmul ufunc machinery; blocks take the same
-    gather of b[..., xor], signed in place, and one batched matmul."""
+    gather of b[..., xor], signed in place, and one batched matmul.  The gather
+    of two or more rows is laid out (i, k, rows), which sends the matmul to
+    numpy's own loop, so out[..., k] is the sum of a[..., i] * g[..., i, k]
+    taken in order of i from 0; a block of one row rounds as the 1-D product."""
     xor, sign = _product_tables(a.shape[-1])
     if a.ndim == 1 and b.ndim == 1:
         return a.dot(sign * b[xor])

@@ -12,12 +12,17 @@ of which 28 also preserve the diagonal symmetry of the matrix.  Each map
 is built from the images of labels 1, 2, 4; the independent exact search
 never uses that structure and prunes row prefixes whose partial column
 codes already differ from the matrix's.
+
+As in `core` and `triple`, each check is done once, by an array form `_name`
+on integer arrays: a matrix is its int64 entries and a set of maps is one
+uint8 array with a row of source rows per map.  The public functions only
+wrap the result in `SignMatrix` and `RowPermutation`, and the verify suite
+calls the array forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 
 import numpy as np
 
@@ -115,13 +120,20 @@ class RowPermutation:
         return "".join(parts) or "()"
 
 
+def _build(n: int) -> np.ndarray:
+    """The entries of build(n), for n in VALID_ORDERS, as a fresh int64 array."""
+    labels = np.arange(n, dtype=np.int64)
+    x = labels[:, None] & labels
+    # labels are below 8: two shifted XORs fold the parity of three bits into bit 0
+    x ^= x >> 2
+    x ^= x >> 1
+    return 1 - 2 * (x & 1)
+
+
 def build(n: int) -> SignMatrix:
     """Sylvester-doubling Hadamard matrix: entry[g][h] = (-1)^popcount(g & h)."""
     _check_order(n)
-    h = np.ones((1, 1), dtype=np.int64)
-    while len(h) < n:
-        h = np.block([[h, h], [h, -h]])
-    return SignMatrix(n, h)
+    return SignMatrix(n, _build(n))
 
 
 def transform(values: np.ndarray) -> np.ndarray:
@@ -144,18 +156,50 @@ def transform(values: np.ndarray) -> np.ndarray:
     return rows.reshape(x.shape)
 
 
+def _permutations(maps: np.ndarray) -> list[RowPermutation]:
+    # for maps built as distinct rows of source rows; tolist gives Python ints
+    return [RowPermutation._trusted(tuple(row)) for row in maps.tolist()]
+
+
+def _row_group_check(entries: np.ndarray) -> bool:
+    """row_group_check on an (n, n) array of +-1 entries."""
+    # a row is coded with bit j set where entry j is -1, so the all-ones row is code 0 and
+    # the termwise product of two rows is the XOR of their codes; present[c] says whether
+    # some row has code c
+    n = entries.shape[1]
+    codes = (entries < 0).astype(np.intp) @ (1 << np.arange(n))
+    present = np.zeros(1 << n, dtype=bool)
+    present[codes] = True
+    return bool(present[0] and present[codes[:, None] ^ codes].all())
+
+
 def row_group_check(m: SignMatrix) -> bool:
     """True iff the rows, under termwise multiplication, form a group with
     the all-ones row as identity."""
-    rows = {tuple(r) for r in m.entries}
-    if tuple([1] * m.n) not in rows:
-        return False
-    for a in rows:
-        for b in rows:
-            prod = tuple(x * y for x, y in zip(a, b))
-            if prod not in rows:
-                return False
-    return True
+    return _row_group_check(m.entries)
+
+
+def _column_set_preserving_maps(entries: np.ndarray) -> np.ndarray:
+    """column_set_preserving_permutations on an (n, n) array of +-1 entries, n in
+    VALID_ORDERS: one row of source rows per map, as uint8, in the same order."""
+    n = len(entries)
+    code = np.dtype(f"u{n}")   # n uint8 column codes, sorted, read as one integer
+    bits = (entries > 0).astype(np.uint8)
+    rows = np.arange(n)
+    free = ((np.arange(1 << n)[:, None] >> rows) & 1) == 0   # free[used, r]: r not in used
+    maps = np.zeros((1, 0), dtype=np.uint8)
+    used = np.zeros(1, dtype=np.intp)            # bit r set where the prefix holds source row r
+    codes = np.zeros((1, n), dtype=np.uint8)     # partial column codes, unsorted
+    target = np.zeros(n, dtype=np.uint8)         # those of the first rows in place
+    for k in range(n):
+        parent, row = np.nonzero(free[used])     # row-major: in lexicographic order
+        codes = codes[parent] | (bits[row] << k)
+        target |= bits[k] << k
+        keep = np.sort(codes, axis=1).view(code)[:, 0] == np.sort(target).view(code)[0]
+        parent, row, codes = parent[keep], row[keep], codes[keep]
+        maps = np.concatenate((maps[parent], row[:, None].astype(np.uint8)), axis=1)
+        used = used[parent] | (1 << row)
+    return maps
 
 
 def column_set_preserving_permutations(m: SignMatrix) -> list[RowPermutation]:
@@ -171,19 +215,17 @@ def column_set_preserving_permutations(m: SignMatrix) -> list[RowPermutation]:
     preserves the column multiset preserves its projection onto the first k
     rows.  Codes are below 2^8, so uint8 holds them exactly.
     """
-    bits = (m.entries > 0).astype(np.uint8)
-    prefixes = np.zeros((1, 0), dtype=np.intp)
-    codes = np.zeros((1, m.n), dtype=np.uint8)   # partial column codes, unsorted
-    target = np.zeros(m.n, dtype=np.uint8)       # those of the first rows in place
-    for k in range(m.n):
-        free = np.all(prefixes[:, :, None] != np.arange(m.n), axis=1)
-        parent, row = np.nonzero(free)             # row-major: lexicographic order
-        codes = codes[parent] | (bits[row] << k)
-        target |= bits[k] << k
-        keep = np.all(np.sort(codes, axis=1) == np.sort(target), axis=1)
-        prefixes = np.concatenate((prefixes[parent], row[:, None]), axis=1)[keep]
-        codes = codes[keep]
-    return [RowPermutation._trusted(tuple(row)) for row in prefixes.tolist()]
+    return _permutations(_column_set_preserving_maps(m.entries))
+
+
+def _doubling_order_maps() -> np.ndarray:
+    """doubling_order_permutations' maps as one (168, 8) uint8 array, in the same order."""
+    # every (a, b, c) in 1..7, in lexicographic order; a map's entries 1, 2, 3, 4 are
+    # a, b, a ^ b, c, so the maps come out in lexicographic order too
+    a, b, c = np.indices((7, 7, 7), dtype=np.uint8).reshape(3, -1) + 1
+    image = np.stack((np.zeros_like(a), a, b, a ^ b, c, a ^ c, b ^ c, a ^ b ^ c), axis=1)
+    # invertible iff the eight images are distinct, that is iff they cover 0..7
+    return image[np.bitwise_or.reduce(np.uint8(1) << image, axis=1) == 255]
 
 
 def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
@@ -193,16 +235,12 @@ def doubling_order_permutations(m: SignMatrix) -> list[RowPermutation]:
     the rows (the group structure under termwise multiplication); each one
     preserves the column set.  Only order 8 is supported.  A map sends
     labels 1, 2, 4 to a, b, c and each label to the XOR of the images of its
-    set bits; it is invertible iff the eight images are distinct.
+    set bits; it is invertible iff the eight images are distinct.  The maps
+    are in lexicographic order.
     """
     if m.n != 8:
         raise ValueError(f"doubling-order permutations are defined for order 8, got {m.n}")
-    found = []
-    for a, b, c in iter_permutations(range(1, 8), 3):
-        image = (0, a, b, a ^ b, c, a ^ c, b ^ c, a ^ b ^ c)
-        if len(set(image)) == 8:
-            found.append(RowPermutation._trusted(image))
-    return sorted(found, key=lambda p: p.map)
+    return _permutations(_doubling_order_maps())
 
 
 def symmetric_mask(stack: np.ndarray) -> np.ndarray:
@@ -218,10 +256,15 @@ def permuted_stack(perms: list[RowPermutation], m: SignMatrix) -> np.ndarray:
     return m.entries[table]
 
 
+def _classify_symmetry(stack: np.ndarray) -> tuple[int, int]:
+    """classify_symmetry on a (k, n, n) stack of row-permuted matrices."""
+    sym = int(np.count_nonzero(symmetric_mask(stack)))
+    return sym, len(stack) - sym
+
+
 def classify_symmetry(perms: list[RowPermutation], m: SignMatrix) -> tuple[int, int]:
     """Partition permutations by whether the row-permuted matrix stays symmetric.
 
     Returns (symmetric_count, asymmetric_count).
     """
-    sym = int(np.count_nonzero(symmetric_mask(permuted_stack(perms, m))))
-    return sym, len(perms) - sym
+    return _classify_symmetry(permuted_stack(perms, m))

@@ -164,19 +164,22 @@ class Channels:
         already taken, that broadcast with scale, typically one entry per
         trial.  A NaN anywhere propagates to the maximum and records as inf.
         """
-        size = (functools.reduce(np.maximum, map(np.abs, diffs)) if isinstance(diffs, tuple)
-                else np.abs(diffs))
-        floor = self.tol.abs / self.tol.rel
-        self._record(name, np.max(np.divide(size, factor * (scale + floor))))
+        self._record_sizes(name, _largest(np.abs, diffs), scale, factor)
 
     def add_norm(self, name: str, diffs, scale, factor: float = 1.0) -> None:
         """`add` for vector differences: each term is reduced by its norm."""
-        self.add(name, tuple(map(_norm, diffs)) if isinstance(diffs, tuple) else _norm(diffs),
-                 scale, factor)
+        # a norm is >= 0 or NaN already, so it is recorded without an abs
+        self._record_sizes(name, _largest(_norm, diffs), scale, factor)
 
     def add_exact(self, name: str, diff) -> None:
         """Record the largest |diff| as it is, for exact checks (tolerance 0) and counts."""
-        self._record(name, np.max(np.abs(diff)))
+        self._record(name, np.abs(diff).max())
+
+    def _record_sizes(self, name: str, size, scale, factor: float) -> None:
+        scale = scale + self.tol.abs / self.tol.rel
+        if factor != 1.0:   # 1.0 * x is x in every bit, so the multiply is skipped
+            scale = factor * scale
+        self._record(name, np.divide(size, scale).max())
 
     def _record(self, name: str, value) -> None:
         # a non-finite value records as inf, so it can neither be dropped nor pass
@@ -185,6 +188,13 @@ class Channels:
 
     def counted(self) -> dict[str, float]:
         return {k: v for k, v in self.maxima.items() if not k.startswith("info:")}
+
+
+def _largest(size: Callable, diffs):
+    """size of one term, or the elementwise maximum of the sizes of a tuple of terms."""
+    if isinstance(diffs, tuple):
+        return functools.reduce(np.maximum, map(size, diffs))
+    return size(diffs)
 
 
 def _trial_key(seed: int, suite_index: int, trial_index: int) -> tuple[int, int]:
@@ -466,61 +476,72 @@ _A4_PRINTED = np.array([
     [1, -1, -1, 1],
 ])
 _A8_ROW_AB = np.array([1, -1, -1, 1, 1, -1, -1, 1])
+_A4_ROW_FIXING = np.array([(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3),
+                           (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)], dtype=np.uint8)
+
+
+def _map_codes(maps: np.ndarray) -> np.ndarray:
+    """One code per map: its images, each below 8, as the digits of a base-8 number.
+
+    Distinct maps have distinct codes, and every code and every sum that makes one is
+    an integer below 8^8 = 2^24, so float64 holds it and a BLAS product sums it exactly.
+    """
+    return maps @ 8.0 ** np.arange(maps.shape[-1])
+
+
+def _count_missing(maps: np.ndarray, among: np.ndarray) -> int:
+    """How many rows of maps are not rows of among."""
+    return int(np.count_nonzero(np.all(_map_codes(maps)[:, None] != _map_codes(among), axis=1)))
 
 
 def _hadamard_suite(ch: Channels) -> None:
-    a4 = hd.build(4)
-    a8 = hd.build(8)
+    a2, a4, a8 = map(hd._build, (2, 4, 8))
 
-    ch.add_exact("a4_printed", a4.entries - _A4_PRINTED)
-    ch.add_exact("a8_row_ab", a8.entries[3] - _A8_ROW_AB)
-    for m in (hd.build(2), a4, a8):
-        ch.add_exact("inverse_up_to_factor",
-                     m.entries @ m.entries - m.n * np.eye(m.n, dtype=np.int64))
-        ch.add_exact("symmetric", 0 if m.is_symmetric() else 1)
-        ch.add_exact("normalized", np.concatenate([m.entries[0], m.entries[:, 0]]) - 1)
-        ch.add_exact("row_group", 0 if hd.row_group_check(m) else 1)
+    ch.add_exact("a4_printed", a4 - _A4_PRINTED)
+    ch.add_exact("a8_row_ab", a8[3] - _A8_ROW_AB)
+    for m in (a2, a4, a8):
+        n = len(m)
+        ch.add_exact("inverse_up_to_factor", m @ m - n * np.eye(n, dtype=np.int64))
+        ch.add_exact("symmetric", 0 if hd.symmetric_mask(m) else 1)
+        ch.add_exact("normalized", np.concatenate([m[0], m[:, 0]]) - 1)
+        ch.add_exact("row_group", 0 if hd._row_group_check(m) else 1)
 
-    flipped = a8.entries.copy()
+    flipped = a8.copy()
     flipped[3, 5] = -flipped[3, 5]
-    ch.add_exact("row_group_detects_flip",
-                 1 if hd.row_group_check(hd.SignMatrix(8, flipped)) else 0)
+    ch.add_exact("row_group_detects_flip", 1 if hd._row_group_check(flipped) else 0)
 
-    perms = hd.doubling_order_permutations(a8)
-    ch.add_exact("automorphism_count", len(perms) - 168)
-    sym, asym = hd.classify_symmetry(perms, a8)
+    table = hd._doubling_order_maps()   # one row of eight uint8 images per map
+    ch.add_exact("automorphism_count", len(table) - 168)
+    sym, asym = hd._classify_symmetry(a8[table])
     ch.add_exact("symmetric_count", sym - 28)
     ch.add_exact("asymmetric_count", asym - 140)
 
-    perm_set = {p.map for p in perms}
-    ch.add_exact("identity_included", 0 if tuple(range(8)) in perm_set else 1)
-    # one row of eight byte images per map, read as one exact uint64 code; table[:, table][a, b]
-    # is table[b] followed by table[a]; the inverses form one row.  Each check counts where
-    # a sorted row differs from the sorted table: 0 exactly when each row lies in the table,
-    # since composing with a permutation and inverting are injective on distinct maps
-    table = np.array([p.map for p in perms], dtype=np.uint8)
-    target = np.sort(table.view(np.uint64), axis=0)
-    for name, maps in (("group_closure", table[:, table]),
-                       ("group_inverse", np.argsort(table, axis=1).astype(np.uint8))):
-        codes = np.ascontiguousarray(maps).view(np.uint64)
-        ch.add_exact(name, np.count_nonzero(np.sort(codes, axis=-2) != target))
+    codes = _map_codes(table)
+    ch.add_exact("identity_included", 0 if _map_codes(np.arange(8)) in codes else 1)
+    # table[b] followed by table[a] has the code sum_i a[b[i]] 8^i = sum_r a[r] w[b, r], w[b, r]
+    # the sum of 8^i over the i that table[b] sends to r, so one product codes all 168^2
+    # compositions; the inverses form one row.  Each check counts where a sorted row
+    # differs from the sorted table: 0 exactly when each row lies in the table, since
+    # composing with a map and inverting are injective on distinct maps
+    w = 8.0 ** np.arange(8) @ (table[:, :, None] == np.arange(8))
+    target = np.sort(codes)
+    for name, row_codes in (("group_closure", table @ w.T),
+                            ("group_inverse", _map_codes(np.argsort(table, axis=1)))):
+        row_codes.sort(axis=-1)
+        ch.add_exact(name, np.count_nonzero(row_codes != target))
 
-    csp4 = {p.map for p in hd.column_set_preserving_permutations(a4)}
-    fixing = {(0,) + rest for rest in
-              ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))}
-    ch.add_exact("a4_row_fixing_permutations", len(fixing - csp4))
+    csp4 = hd._column_set_preserving_maps(a4)
+    ch.add_exact("a4_row_fixing_permutations", _count_missing(_A4_ROW_FIXING, csp4))
     ch.add_exact("info:column_set_preserving_count_order4", len(csp4))
     # the exact search finds every column-preserving permutation, the linear ones included
-    csp8 = {p.map for p in hd.column_set_preserving_permutations(a8)}
+    csp8 = hd._column_set_preserving_maps(a8)
     ch.add_exact("info:column_set_preserving_count_order8", len(csp8))
-    ch.add_exact("automorphisms_preserve_columns", len(perm_set - csp8))
+    ch.add_exact("automorphisms_preserve_columns", _count_missing(table, csp8))
 
     # swapping the last two rows reorders the columns as rows 1,3,4,2
-    swapped = a4.permuted_rows(hd.RowPermutation((0, 1, 3, 2)))
-    order = (0, 2, 3, 1)
+    swapped = a4[[0, 1, 3, 2]]
     ch.add_exact("a4_swap_column_order",
-                 sum(0 if np.array_equal(swapped.entries[:, j], swapped.entries[order[j]])
-                     else 1 for j in range(4)))
+                 np.count_nonzero(np.any(swapped.T != swapped[[0, 2, 3, 1]], axis=1)))
 
 
 # -- suite: convention bridge -------------------------------------------------

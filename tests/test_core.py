@@ -12,6 +12,7 @@ from octotriple.core import (
     Tolerance,
     VALID_DIMS,
     _multiply,
+    _product_tables,
     conjugate,
     embed,
     imaginary_part,
@@ -249,6 +250,25 @@ def test_block_product_matches_scalar_multiply_and_oracle(dim, rows):
         assert np.max(np.abs(got[t] - scalar)) <= bound
         exact = omul(ovec(a[t]), ovec(b[t]))
         assert max(abs(Fraction(x) - e) for x, e in zip(got[t], exact)) <= bound
+
+
+@pytest.mark.parametrize("dim", VALID_DIMS)
+def test_block_product_rounds_as_the_sequential_sum(dim):
+    # a block of two or more rows gathers b[..., xor] laid out (i, k, rows), which sends
+    # the batched matmul to numpy's own loop: out[:, k] sums a[:, i] * g[:, i, k] from 0,
+    # in order of i.  A block of one row rounds as the 1-D (BLAS) product instead, and
+    # may differ from its own row inside a larger block
+    xor, sign = _product_tables(dim)
+    rng = np.random.default_rng(dim)
+    for rows in (2, 3, 40, 1000):
+        a, b = rng.standard_normal((2, rows, dim))
+        sequential = np.zeros((rows, dim))
+        for i in range(dim):
+            sequential += a[:, i, None] * (sign[i] * b[:, xor[i]])
+        assert _multiply(a, b).tobytes() == sequential.tobytes()
+    a, b = rng.standard_normal((2, 200, dim))
+    for t in range(200):
+        assert _multiply(a[t:t + 1], b[t:t + 1]).tobytes() == _multiply(a[t], b[t]).tobytes()
 
 
 def test_unit_law_random():

@@ -11,6 +11,8 @@ from octotriple import cli, verify
 from octotriple.hadamard import (
     RowPermutation,
     SignMatrix,
+    _column_set_preserving_maps,
+    _doubling_order_maps,
     build,
     classify_symmetry,
     column_set_preserving_permutations,
@@ -45,6 +47,16 @@ def test_build_is_normalized_symmetric_hadamard(n):
     assert m.is_symmetric()
     np.testing.assert_array_equal(m.entries @ m.entries.T, n * np.eye(n, dtype=np.int64))
     np.testing.assert_array_equal(m.entries @ m.entries, n * np.eye(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_build_is_the_sylvester_doubling_recurrence(n):
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    entries = build(n).entries
+    assert entries.dtype == np.int64 and not entries.flags.writeable
+    np.testing.assert_array_equal(entries, h)
 
 
 def test_build_rejects_bad_orders():
@@ -99,6 +111,41 @@ def test_render():
 @pytest.mark.parametrize("n", (2, 4, 8))
 def test_rows_form_group_under_termwise_multiplication(n):
     assert row_group_check(build(n))
+
+
+def _row_group_over_sets(entries):
+    # reference: the group definition over a set of row tuples
+    rows = {tuple(r) for r in entries.tolist()}
+    return (tuple([1] * len(entries)) in rows
+            and all(tuple(x * y for x, y in zip(a, b)) in rows for a in rows for b in rows))
+
+
+def _row_group_cases():
+    for n in (2, 4, 8):
+        yield build(n).entries
+    a8 = build(8).entries
+    for i in range(8):
+        for j in range(8):
+            flipped = a8.copy()
+            flipped[i, j] = -flipped[i, j]
+            yield flipped
+    for n in (2, 4, 8):
+        for negated in [[i] for i in range(n)] + [list(range(1, n))]:
+            entries = build(n).entries.copy()
+            entries[negated] *= -1
+            yield entries
+
+
+def test_row_group_check_is_the_group_definition():
+    results = []
+    for entries in _row_group_cases():
+        got = row_group_check(SignMatrix(len(entries), entries))
+        assert got == _row_group_over_sets(entries), entries
+        results.append(got)
+    # the three matrices pass and each of the 64 flips fails; among the negated rows,
+    # A2 with its second row negated is still a group, and the rest are not
+    assert results[:3] == [True] * 3 and not any(results[3:67])
+    assert sum(results[67:]) == 2
 
 
 def test_flipped_sign_breaks_row_group():
@@ -203,6 +250,30 @@ def test_brute_force_tracks_a_matrix_with_repeated_columns():
     got = [p.map for p in column_set_preserving_permutations(m)]
     assert got == _brute_force_over_tuples(m)
     assert got == [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
+
+
+def _linear_label_maps():
+    # reference: the images of labels 1, 2, 4 from itertools, kept where all eight differ
+    found = []
+    for a, b, c in iter_permutations(range(1, 8), 3):
+        image = (0, a, b, a ^ b, c, a ^ c, b ^ c, a ^ b ^ c)
+        if len(set(image)) == 8:
+            found.append(image)
+    return sorted(found)
+
+
+def test_map_tables_match_itertools():
+    a4 = build(4)
+    csp4 = _column_set_preserving_maps(a4.entries)
+    assert csp4.dtype == np.uint8
+    assert list(map(tuple, csp4.tolist())) == _brute_force_over_tuples(a4)
+    linear = _linear_label_maps()
+    assert len(linear) == 168
+    for maps in (_doubling_order_maps(), _column_set_preserving_maps(build(8).entries)):
+        assert maps.dtype == np.uint8 and list(map(tuple, maps.tolist())) == linear
+    # the public forms wrap the same rows
+    assert [p.map for p in doubling_order_permutations(build(8))] == linear
+    assert [p.map for p in column_set_preserving_permutations(a4)] == _brute_force_over_tuples(a4)
 
 
 def test_verify_json_reports_168_column_preserving_permutations():
@@ -343,16 +414,16 @@ def test_a4_swap_of_last_two_rows_reorders_columns_1342():
 
 @pytest.mark.parametrize("broken", ("dropped", "non_linear"))
 def test_hadamard_suite_fails_on_a_broken_automorphism_set(monkeypatch, broken):
-    linear = doubling_order_permutations
+    linear = verify.hd._doubling_order_maps
 
-    def tampered(m):
-        perms = linear(m)[:-1]
+    def tampered():
+        maps = linear()[:-1]
         if broken == "non_linear":
             # keeps the count at 168; a linear map fixing 2 and 4 fixes 6, this one sends it to 7
-            perms.append(RowPermutation((0, 1, 2, 3, 4, 5, 7, 6)))
-        return perms
+            maps = np.vstack((maps, np.array([0, 1, 2, 3, 4, 5, 7, 6], dtype=np.uint8)))
+        return maps
 
-    monkeypatch.setattr(verify.hd, "doubling_order_permutations", tampered)
+    monkeypatch.setattr(verify.hd, "_doubling_order_maps", tampered)
     [rep] = verify.run_all(verify.RunConfig(trials=1, dims=(8,)), suites=("hadamard",))
     assert not rep.passed
     assert rep.details["channels"]["group_closure"] > 0
