@@ -45,9 +45,10 @@ def _is_integer(x) -> bool:
     return type(x) is int or (not isinstance(x, bool) and isinstance(x, numbers.Integral))
 
 
-def _check_dim(dim: int) -> None:
+def _check_dim(dim: int) -> int:
     if not (_is_integer(dim) and dim in VALID_DIMS):
         raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
+    return dim if type(dim) is int else int(dim)   # a numpy integer goes no further
 
 
 def _check_same_dim(a: "Hyper", b: "Hyper") -> None:
@@ -63,6 +64,10 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self) -> None:
+        for name, value in (("rel", self.rel), ("abs", self.abs)):   # True would pass as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} tolerance must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.rel) and self.rel > 0):
             raise ValueError(f"rel tolerance must be positive and finite, got {self.rel!r}")
         if not (math.isfinite(self.abs) and self.abs >= 0):
@@ -95,7 +100,8 @@ class Hyper:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        if (dim := _check_dim(self.dim)) is not self.dim:
+            object.__setattr__(self, "dim", dim)
         try:
             arr = np.array(self.coeffs)
         except ValueError:   # ragged: the checked route names the entry that is a sequence
@@ -144,13 +150,13 @@ class Hyper:
 
     @classmethod
     def zero(cls, dim: int) -> "Hyper":
-        _check_dim(dim)
+        dim = _check_dim(dim)
         return cls._wrap(dim, np.zeros(dim))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Hyper":
         """Basis element i_index of the given dimension."""
-        _check_dim(dim)
+        dim = _check_dim(dim)
         if not (_is_integer(index) and 0 <= index < dim):
             raise ValueError(f"basis index must be an integer in [0, {dim}), got {index!r}")
         arr = np.zeros(dim)
@@ -386,7 +392,7 @@ def scalar_part(u: Hyper) -> float:
 
 def embed(u: Hyper, dim: int) -> Hyper:
     """Zero-pad u into a wider algebra.  Widening is explicit, never implicit."""
-    _check_dim(dim)
+    dim = _check_dim(dim)
     if dim < u.dim:
         raise DimensionError(f"cannot embed dim {u.dim} into smaller dim {dim}")
     if dim == u.dim:

@@ -138,6 +138,21 @@ def test_operator_reports_are_plain_json_types():
         assert obj["pass"] is rep.passed
 
 
+@pytest.mark.parametrize("given", ({"seed": np.int64(3)}, {"seed": np.uint64(3)},
+                                   {"trials": np.int32(3)}, {"dims": (np.int64(4), np.uint8(8))},
+                                   {"dims": np.array([4, 8])}),
+                         ids=("int64_seed", "uint64_seed", "numpy_trials", "numpy_dims",
+                              "dims_array"))
+def test_numpy_integers_in_a_config_report_as_the_ints(given):
+    # a numpy seed overflowed the Philox key's 64-bit mask, and a numpy seed, trials
+    # or dim reached to_json, which has no encoder for it
+    config = RunConfig(**{"seed": 3, "trials": 3, "dims": (4, 8), **given})
+    assert all(type(x) is int for x in (config.seed, config.trials, *config.dims))
+    reports = [r.to_json() for r in run_all(config, suites=("core", "hadamard"))]
+    assert reports == [r.to_json() for r in run_all(RunConfig(seed=3, trials=3, dims=(4, 8)),
+                                                    suites=("core", "hadamard"))]
+
+
 def test_channels_keep_nan_after_finite_value():
     ch = Channels(Tolerance())
     ch.add("x", 1e-20, 1.0)
@@ -392,12 +407,10 @@ _DECOMPOSITION = {
     "unit_center_reduction"}
 _LENGTHS = {"anticommutative_component", "anticommutator_length", "associator_length",
             "commutator_length", "gram_half_difference", "gram_positive_semidefinite",
-            "length_sum", "product_norm_multiplicativity"}
+            "product_norm_multiplicativity"}
 _OPERATOR = {
-    "adjoint_pairing", "adjoint_transpose", "component2_anticommutator",
-    "component2_associator", "component2_commutator", "component2_reconstruction",
-    "component2_vanishing", "component3_eigen_plus", "component3_public_api", "component3_sum",
-    "component3_telescoping", "linearity", "tabulated_closed_forms",
+    "adjoint_pairing", "adjoint_transpose", "component3_eigen_plus", "component3_public_api",
+    "component3_sum", "component3_telescoping", "linearity", "tabulated_closed_forms",
     *(f"info:three_op_norm({a},{b},{c})"
       for a in ("+1", "-1") for b in ("+1", "-1") for c in ("+1", "-1"))}
 _HADAMARD = {
@@ -426,6 +439,16 @@ CHANNELS = {
 def test_every_suite_reports_its_pinned_channels():
     reports = run_all(RunConfig(seed=7, trials=25, dims=(4, 8)))
     assert {(r.suite, r.dim): set(r.details["channels"]) for r in reports} == CHANNELS
+
+
+def test_no_two_suites_share_a_channel_name():
+    # a channel is named without its suite where the suites' channels are merged,
+    # as in tests/test_mutants.py
+    suites = {}
+    for (suite, _), names in CHANNELS.items():
+        for name in names:
+            suites.setdefault(name, set()).add(suite)
+    assert {name: s for name, s in suites.items() if len(s) > 1} == {}
 
 
 def test_the_readme_claims_table_names_every_counted_channel_once():
@@ -518,6 +541,16 @@ def test_run_all_rejects_a_selection_that_is_not_suite_names(suites):
     # a selection that runs nothing, or matches names as substrings, must not pass quietly
     with pytest.raises(ValueError, match="suites"):
         run_all(RunConfig(trials=1, dims=(4,)), suites=suites)
+
+
+def test_run_all_reads_a_selection_once():
+    # a one-shot iterator selects what it yields, and an unknown name in it is still refused
+    config = RunConfig(seed=7, trials=3, dims=(4,))
+    selected = run_all(config, suites=(name for name in ("bridge", "core")))
+    assert [r.to_json() for r in selected] == [
+        r.to_json() for r in run_all(config, suites=("core", "bridge"))]
+    with pytest.raises(ValueError, match="suites"):
+        run_all(config, suites=iter(["core", "nope"]))
 
 
 def test_tightened_tolerance_fails_honestly():

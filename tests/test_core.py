@@ -123,6 +123,17 @@ def test_fractions_and_numpy_floats_accepted():
     assert Hyper(np.int64(2), [1.0, 2.0]).dim == 2
 
 
+@pytest.mark.parametrize("dim", (np.int64(4), np.uint8(4), np.int32(4)))
+def test_a_numpy_dim_is_stored_as_an_int(dim):
+    # a numpy dim would reach to_json, which has no encoder for it
+    made = (Hyper(dim, [1.0, 2.0, 3.0, 4.0]), Hyper.zero(dim), Hyper.basis(dim, 1), unit(dim),
+            embed(Hyper(2, [1.0, 2.0]), dim))
+    for u in made:
+        assert type(u.dim) is int
+        assert Hyper.from_json(u.to_json()).to_json() == u.to_json()
+    assert made[0].to_json() == Hyper(4, [1.0, 2.0, 3.0, 4.0]).to_json()
+
+
 def test_coeffs_are_read_only():
     u = rand(8)
     with pytest.raises(ValueError):
@@ -464,6 +475,21 @@ def test_tolerance_validation():
     assert t.bound(10.0) == 1e-9 + 1e-6 * 10.0
     assert t.close(1.0, 1.0 + 1e-7, scale=1000.0)
     assert not t.close(1.0, 2.0, scale=1.0)
+
+
+@pytest.mark.parametrize("field", ({"rel": True}, {"abs": False}, {"abs": np.bool_(True)},
+                                   {"rel": "1e-9"}, {"abs": None}),
+                         ids=("rel_true", "abs_false", "abs_numpy_bool", "rel_text", "abs_none"))
+def test_tolerance_rejects_what_is_not_a_real_number(field):
+    # True == 1, so a bool passed the range checks and a report printed "tolerance_used": true
+    with pytest.raises(ValueError, match="must be a real number"):
+        Tolerance(**field)
+
+
+def test_tolerance_stores_floats():
+    t = Tolerance(rel=1, abs=np.float32(0.5))
+    assert (type(t.rel), type(t.abs)) == (float, float)
+    assert (t.rel, t.abs) == (1.0, 0.5)
 
 
 # -- serialization ----------------------------------------------------------------
