@@ -166,10 +166,14 @@ class Hyper:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Hyper") -> "Hyper":
+        if not isinstance(other, Hyper):
+            return NotImplemented
         _check_same_dim(self, other)
         return Hyper._wrap(self.dim, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Hyper") -> "Hyper":
+        if not isinstance(other, Hyper):
+            return NotImplemented
         _check_same_dim(self, other)
         return Hyper._wrap(self.dim, self.coeffs - other.coeffs)
 

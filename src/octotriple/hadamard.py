@@ -31,9 +31,10 @@ from .core import _is_integer
 VALID_ORDERS = (2, 4, 8)
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
     if not (_is_integer(n) and n in VALID_ORDERS):
         raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
+    return n if type(n) is int else int(n)   # a numpy integer goes no further
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +45,8 @@ class SignMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_order(self.n)
+        if (n := _check_order(self.n)) is not self.n:
+            object.__setattr__(self, "n", n)
         arr = np.array(self.entries, dtype=np.int64)
         if arr.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got shape {arr.shape}")
@@ -84,12 +86,7 @@ class RowPermutation:
             valid = False
         if not valid:
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.map!r}")
-
-    @classmethod
-    def _trusted(cls, map: tuple[int, ...]) -> "RowPermutation":
-        obj = object.__new__(cls)   # for maps built as distinct rows; skips validation
-        object.__setattr__(obj, "map", map)
-        return obj
+        object.__setattr__(self, "map", tuple(map(int, self.map)))   # numpy integers too
 
     def compose(self, other: "RowPermutation") -> "RowPermutation":
         """self after other: (self.compose(other)).map[i] = other.map[self.map[i]]."""
@@ -132,7 +129,7 @@ def _build(n: int) -> np.ndarray:
 
 def build(n: int) -> SignMatrix:
     """Sylvester-doubling Hadamard matrix: entry[g][h] = (-1)^popcount(g & h)."""
-    _check_order(n)
+    n = _check_order(n)
     return SignMatrix(n, _build(n))
 
 
@@ -157,8 +154,7 @@ def transform(values: np.ndarray) -> np.ndarray:
 
 
 def _permutations(maps: np.ndarray) -> list[RowPermutation]:
-    # for maps built as distinct rows of source rows; tolist gives Python ints
-    return [RowPermutation._trusted(tuple(row)) for row in maps.tolist()]
+    return [RowPermutation(tuple(row)) for row in maps.tolist()]
 
 
 def _row_group_check(entries: np.ndarray) -> bool:

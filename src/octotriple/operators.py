@@ -51,6 +51,8 @@ class OpWord:
         for name, value in vars(self).items():
             if not isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {value!r}")
+            if type(value) is not bool:   # a numpy bool goes no further
+                object.__setattr__(self, name, bool(value))
 
     def compose(self, other: "OpWord") -> "OpWord":
         return OpWord(self.plus ^ other.plus, self.star ^ other.star, self.vee ^ other.vee)
@@ -80,6 +82,8 @@ class SignTriple:
         for name, value in vars(self).items():
             if not (_is_integer(value) and value in (-1, 1)):
                 raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+            if type(value) is not int:   # a numpy integer goes no further
+                object.__setattr__(self, name, int(value))
 
     @property
     def label(self) -> str:

@@ -26,6 +26,12 @@ public Hyper API, into the same channels, in the decomposition, lengths and
 bridge suites and for the operator's `component3_public_api`; the public
 wrappers themselves are pinned to the array forms in tests/test_array_forms.py.
 
+Every suite is one body, `body(draws, ch)`, a plain function of its draws: the
+dimension is the draws' width and i0 a basis row of that width, so a body runs
+at any doubling width without a checked `Hyper` (tests/test_mutants.py runs the
+sedenions, dim 16, as a control).  A suite that draws nothing (hadamard) checks
+fixed objects exactly: its body runs once, on draws (), and reports dim 8.
+
 A suite hands `Channels` the differences each identity says vanish and builds its scales
 from the argument norms `Channels.norms` gives (vector identities scale by their product,
 inner products and norms by its square); it takes a size itself only where the library's
@@ -73,7 +79,6 @@ from .core import (
     multiply,
     norm,
     norm_sq,
-    unit,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -218,22 +223,31 @@ def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# A suite's `_public` function runs some identities on trial 0 through the public
+# A suite's `_public(row, ch)` runs some identities on trial 0 through the public
 # Hyper API and hands over its `norm` values as sizes; those of decomposition, lengths
 # and bridge stay until the benchmark's call tracer times the array forms instead.
 
 
-def _hypers(dim: int, row: tuple[np.ndarray, ...]) -> tuple[Hyper, ...]:
-    return tuple(Hyper(dim, x) for x in row)
+def _hypers(row: tuple[np.ndarray, ...]) -> tuple[Hyper, ...]:
+    return tuple(Hyper(len(x), x) for x in row)
+
+
+def _unit_row(dim: int) -> np.ndarray:
+    """i0 as a read-only coefficient row of width dim; the bodies take any width, so unchecked."""
+    i0 = np.zeros(dim)
+    i0[0] = 1.0
+    i0.setflags(write=False)
+    return i0
 
 
 # -- suite: core identities ---------------------------------------------------
 
 
-def _core_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+def _core_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u2, u = draws
     s1, s2, su = ch.norms(*draws)
-    i0 = unit(dim).coeffs
+    dim = u.shape[-1]
+    i0 = _unit_row(dim)
     ub = _conjugate(u)
 
     ch.add_norm("unit_law", (_multiply(i0, u) - u, _multiply(u, i0) - u), su)
@@ -273,11 +287,12 @@ def _core_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
 # -- suite: triple decomposition ---------------------------------------------
 
 
-def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+def _decomposition_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u, u2, u3 = draws
     s1, su, s2, s3 = ch.norms(*draws)
     s = s1 * su * s2
-    i0 = unit(dim).coeffs
+    dim = u.shape[-1]
+    i0 = _unit_row(dim)
     ub = _conjugate(u)
 
     anti, comm, assoc, residual = tp._decompose_triple(u1, u, u2)
@@ -335,8 +350,8 @@ def _decomposition_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) 
     ch.add_norm("pair_product_expansion", tp._pair_product_expansion(u1, u2) - p12, s1 * s2)
 
 
-def _decomposition_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
-    u1, u, u2, _ = _hypers(dim, row)
+def _decomposition_public(row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2, _ = _hypers(row)
     s = norm(u1) * norm(u) * norm(u2)
     d = tp.decompose_triple(u1, u, u2)
     ch.add("stored_residual", d.residual, s)
@@ -355,7 +370,7 @@ def _decomposition_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -
 # -- suite: length formulas ---------------------------------------------------
 
 
-def _lengths_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+def _lengths_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u, u2 = draws
     n1, nu, n2 = ch.norms(*draws)
     s = n1 * nu * n2
@@ -380,8 +395,8 @@ def _lengths_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> Non
     ch.add("gram_positive_semidefinite", np.maximum(0.0, -det), s2)
 
 
-def _lengths_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
-    u1, u, u2 = _hypers(dim, row)
+def _lengths_public(row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2 = _hypers(row)
     s = norm(u1) * norm(u) * norm(u2)
     s2 = s * s
     d = tp.decompose_triple(u1, u, u2)
@@ -402,7 +417,7 @@ def _lengths_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None
 # -- suite: operator symmetry -------------------------------------------------
 
 
-def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+def _operator_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u2, u, v, scalars = draws
     a, b = scalars[:, :1], scalars[:, 1:]   # alpha and beta, one column each
     n1, n2, nu, nv, na, nb = ch.norms(u1, u2, u, v, a, b)
@@ -451,11 +466,11 @@ def _operator_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> No
         ch.add_norm(f"info:three_op_norm{signs.label}", b_u, s)
 
 
-def _operator_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
-    u1, u2, u = _hypers(dim, row[:3])
+def _operator_public(row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u2, u = _hypers(row[:3])
     op = ops.TripleOperator(u1, u2)
     # the first component against its definition: the mean of the eight word values
-    mean = sum((ops.apply(op, w, u) for w in ops.ALL_WORDS), Hyper.zero(dim)) / 8
+    mean = sum((ops.apply(op, w, u) for w in ops.ALL_WORDS), Hyper.zero(u.dim)) / 8
     ch.add("component3_public_api", norm(ops.component3(op, ops.ALL_SIGN_TRIPLES[0], u) - mean),
            norm(u1) * norm(u2) * norm(u))
 
@@ -487,7 +502,7 @@ def _count_missing(maps: np.ndarray, among: np.ndarray) -> int:
     return int(np.count_nonzero(np.all(_map_codes(maps)[:, None] != _map_codes(among), axis=1)))
 
 
-def _hadamard_suite(ch: Channels) -> None:
+def _hadamard_suite(draws: tuple[()], ch: Channels) -> None:
     a2, a4, a8 = map(hd._build, (2, 4, 8))
 
     ch.add_exact("a4_printed", a4 - _A4_PRINTED)
@@ -540,7 +555,7 @@ def _hadamard_suite(ch: Channels) -> None:
 # -- suite: convention bridge -------------------------------------------------
 
 
-def _bridge_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None:
+def _bridge_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     u1, u, u2 = draws
     n1, nu, n2, i1, iu, i2 = ch.norms(*draws, u1[:, 1:], u[:, 1:], u2[:, 1:])
     s = n1 * nu * n2
@@ -552,8 +567,8 @@ def _bridge_suite(dim: int, draws: tuple[np.ndarray, ...], ch: Channels) -> None
     ch.add("bac_cab", br._bac_cab_residual(u1, u, u2), si)
 
 
-def _bridge_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
-    u1, u, u2 = _hypers(dim, row)
+def _bridge_public(row: tuple[np.ndarray, ...], ch: Channels) -> None:
+    u1, u, u2 = _hypers(row)
     s = norm(u1) * norm(u) * norm(u2)
     si = np.maximum(norm(imaginary_part(u1)) * norm(imaginary_part(u)) * norm(imaginary_part(u2)),
                     1e-30)
@@ -569,22 +584,28 @@ def _bridge_public(dim: int, row: tuple[np.ndarray, ...], ch: Channels) -> None:
 @dataclass(frozen=True)
 class _Suite:
     name: str
-    per_trial: Callable | None = None   # (dim, block draws, ch)
-    public: Callable | None = None      # (dim, trial 0's draws, ch)
-    once: Callable | None = None
+    body: Callable                   # (draws, ch): one block's draws, () if it draws nothing
+    public: Callable | None = None   # (trial 0's draws, ch)
     vectors: int = 0   # vectors each trial draws, then
     scalars: int = 0   # scalars it draws after them
 
+    @property
+    def random(self) -> bool:
+        """Whether its trials draw; one that draws nothing checks fixed objects exactly,
+        so it runs once, on draws (), reports dim 8 and passes only at 0."""
+        return bool(self.vectors or self.scalars)
+
+    def dims(self, config: RunConfig) -> tuple[int, ...]:
+        return config.dims if self.random else (8,)
+
 
 _SUITES = (
-    _Suite("core", per_trial=_core_suite, vectors=3),
-    _Suite("decomposition", per_trial=_decomposition_suite, public=_decomposition_public,
-           vectors=4),
-    _Suite("lengths", per_trial=_lengths_suite, public=_lengths_public, vectors=3),
-    _Suite("operator", per_trial=_operator_suite, public=_operator_public,
-           vectors=4, scalars=2),
-    _Suite("hadamard", once=_hadamard_suite),
-    _Suite("bridge", per_trial=_bridge_suite, public=_bridge_public, vectors=3),
+    _Suite("core", _core_suite, vectors=3),
+    _Suite("decomposition", _decomposition_suite, _decomposition_public, vectors=4),
+    _Suite("lengths", _lengths_suite, _lengths_public, vectors=3),
+    _Suite("operator", _operator_suite, _operator_public, vectors=4, scalars=2),
+    _Suite("hadamard", _hadamard_suite),
+    _Suite("bridge", _bridge_suite, _bridge_public, vectors=3),
 )
 
 SUITE_INDEX = {s.name: i for i, s in enumerate(_SUITES)}
@@ -606,7 +627,10 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
     the re-keyed stream is exactly that of a new generator with the key.
     Every block is read-only, so no suite body can change another's draws,
     and `triple._length_terms` can serve its terms to each length form.
+    A suite that draws nothing gets (), and no generator is built.
     """
+    if not suite.random:
+        return ()
     idx = SUITE_INDEX[suite.name]
     rows = np.empty((stop - start, suite.vectors * dim + suite.scalars))
     generator = trial_generator(config.seed, idx, start)
@@ -632,20 +656,13 @@ def _draw_block(suite: _Suite, config: RunConfig, dim: int,
 
 def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport:
     ch = Channels(config.tolerance)
-    if suite.once is not None:
-        suite.once(ch)
-        trials = 1
-        bar = 0.0
-    else:
-        for start in range(0, config.trials, _BLOCK_ROWS):
-            draws = _draw_block(suite, config, dim, start,
-                                min(start + _BLOCK_ROWS, config.trials))
-            with _block_memo():
-                suite.per_trial(dim, draws, ch)
-            if start == 0 and suite.public is not None:
-                suite.public(dim, tuple(block[0] for block in draws), ch)
-        trials = config.trials
-        bar = config.tolerance.rel
+    trials, bar = (config.trials, config.tolerance.rel) if suite.random else (1, 0.0)
+    for start in range(0, trials, _BLOCK_ROWS):
+        draws = _draw_block(suite, config, dim, start, min(start + _BLOCK_ROWS, trials))
+        with _block_memo():
+            suite.body(draws, ch)
+        if start == 0 and suite.public is not None:
+            suite.public(tuple(block[0] for block in draws), ch)
     max_residual = max(ch.counted().values(), default=0.0)
     return VerificationReport(
         suite=suite.name,
@@ -662,19 +679,12 @@ def _run_suite(suite: _Suite, config: RunConfig, dim: int) -> VerificationReport
 def run_all(config: RunConfig, suites: tuple[str, ...] = SUITE_NAMES) -> list[VerificationReport]:
     """Run the named suites, in registry order, over every configured dimension.
 
-    Dimension-independent suites (hadamard) run once and report dim 8.
-    Raises ValueError unless `suites` is a non-empty iterable of names
-    from SUITE_NAMES, read once, so a selection can never run nothing and pass.
+    Every suite is one body of its draws; a suite that draws nothing (hadamard)
+    runs once, on no draws, and reports dim 8.  Raises ValueError unless
+    `suites` is a non-empty iterable of names from SUITE_NAMES, read once, so a
+    selection can never run nothing and pass.
     """
     if isinstance(suites, str) or not (names := set(suites)) <= set(SUITE_NAMES) or not names:
         raise ValueError(f"suites must be a non-empty collection of {SUITE_NAMES}, got {suites!r}")
-    reports = []
-    for suite in _SUITES:
-        if suite.name not in names:
-            continue
-        if suite.once is not None:
-            reports.append(_run_suite(suite, config, 8))
-        else:
-            for dim in config.dims:
-                reports.append(_run_suite(suite, config, dim))
-    return reports
+    return [_run_suite(suite, config, dim)
+            for suite in _SUITES if suite.name in names for dim in suite.dims(config)]

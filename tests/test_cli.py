@@ -193,7 +193,7 @@ def test_channels_reduce_what_the_suites_hand_over():
 def test_nan_residual_fails_the_suite():
     residuals = np.array((1e-20, float("nan"), 0.0))   # one per trial
 
-    def per_trial(dim, draws, ch):
+    def body(draws, ch):
         ch.add("probe", residuals, 1.0)
         ch.add("steady", np.full(3, 1e-20), 1.0)
 
@@ -201,7 +201,7 @@ def test_nan_residual_fails_the_suite():
         raise ValueError(f"non-standard JSON constant {constant}")
 
     config = RunConfig(seed=0, trials=3, dims=(4,))
-    rep = _run_suite(_Suite("core", per_trial=per_trial), config, 4)
+    rep = _run_suite(_Suite("core", body, vectors=3), config, 4)
     assert not rep.passed
     assert rep.max_residual == float("inf")
     # strict JSON has no inf: the report line carries null instead
@@ -307,9 +307,9 @@ def test_block_memo_changes_no_channel_of_a_suite(name, dim):
     suite = next(s for s in verify._SUITES if s.name == name)
     draws = verify._draw_block(suite, RunConfig(seed=42, trials=40), dim, 0, 40)
     plain, memoized = Channels(Tolerance()), Channels(Tolerance())
-    suite.per_trial(dim, draws, plain)
+    suite.body(draws, plain)
     with core._block_memo():
-        suite.per_trial(dim, draws, memoized)
+        suite.body(draws, memoized)
         assert core._MEMO.get()   # the block products went through the memo
     assert _bits(memoized.maxima) == _bits(plain.maxima)
 
@@ -319,12 +319,12 @@ def test_block_memo_is_closed_after_a_run_and_after_a_suite_that_raises():
     assert core._MEMO.get() is None
     opened = []
 
-    def per_trial(dim, draws, ch):
+    def body(draws, ch):
         opened.append(core._MEMO.get())
         raise RuntimeError("suite body failed")
 
     with pytest.raises(RuntimeError, match="suite body failed"):
-        _run_suite(_Suite("core", per_trial=per_trial, vectors=3), RunConfig(trials=5), 4)
+        _run_suite(_Suite("core", body, vectors=3), RunConfig(trials=5), 4)
     assert opened == [{}]   # a fresh memo for the block
     assert core._MEMO.get() is None
 
@@ -513,7 +513,7 @@ def test_suite_bodies_take_every_norm_from_the_recorder(name, dim, monkeypatch):
         monkeypatch.setattr(module, "_norm", refuse, raising=False)
         monkeypatch.setattr(module, "np", _NoScaleNumpy())
     ch = _UnitScales(Tolerance())
-    suite.per_trial(dim, draws, ch)
+    suite.body(draws, ch)
     pinned = CHANNELS[(name, 8 if dim == 8 else 4)] - {"component3_public_api"}
     assert set(ch.maxima) == (pinned if dim >= 4 else pinned - {"cross2_matches_3d_cross"})
     assert all(np.isfinite(v) for v in ch.maxima.values())

@@ -198,6 +198,15 @@ def test_dimension_mismatch_raises():
         unit(4) + unit(8)
 
 
+@pytest.mark.parametrize("add", (lambda u: u + 1, lambda u: u - 1.0, lambda u: 1 + u,
+                                 lambda u: 2.0 - u),
+                         ids=("add int", "sub float", "radd int", "rsub float"))
+def test_adding_what_is_not_a_hyper_raises_type_error(add):
+    # a scalar is no Hyper: add it as a multiple of unit(dim), say, not by broadcasting
+    with pytest.raises(TypeError, match="unsupported operand"):
+        add(unit(4))
+
+
 # -- multiplication against the exact oracle ----------------------------------
 
 

@@ -173,10 +173,14 @@ def test_row_permutation_validation_and_algebra():
 
 
 def test_orders_and_permutations_accept_numpy_integers():
+    # and store the Python ints they accepted
     m = build(np.int64(4))
     np.testing.assert_array_equal(m.entries, A4_PRINTED)
-    assert row_group_check(SignMatrix(np.int32(4), A4_PRINTED))
+    assert type(m.n) is int
+    signs = SignMatrix(np.int32(4), A4_PRINTED)
+    assert row_group_check(signs) and type(signs.n) is int
     p = RowPermutation((np.int64(1), np.int64(0)))
+    assert p.map == (1, 0) and all(type(i) is int for i in p.map)
     np.testing.assert_array_equal(build(2).permuted_rows(p).entries, [[1, -1], [1, 1]])
 
 

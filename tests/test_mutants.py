@@ -24,6 +24,11 @@ A counted channel that no mutant moves off 0.0, or none pushes above the
 tolerance, checks nothing that these mutants break; at dims 4 and 8 only five
 channels may stay at 0.0 and nine below the tolerance, each pinned with the
 reason no mutant can reach it.
+
+A real algebra is the last control: the sedenions, the doubling rule applied
+once more, at dim 16.  The suite bodies take any width, so they run there
+unpatched, and exactly the fourteen channels whose identities need a normed or
+alternative algebra must fail.
 """
 
 import functools
@@ -31,10 +36,10 @@ import functools
 import numpy as np
 import pytest
 
-from octotriple import core, hadamard, operators, triple
-from octotriple.verify import _SUITES, RunConfig, run_all
+from octotriple import core, hadamard, operators, triple, verify
+from octotriple.verify import _SUITES, Channels, RunConfig, run_all
 
-PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.per_trial is not None)
+PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.random)
 
 
 def _flipped_tables(dim, i, k):
@@ -289,3 +294,35 @@ def test_no_length_terms_cross_into_a_mutant_run(dim, monkeypatch):
         assert mutant[1] != clean[1]
         # a flipped s[i, 0] is the same in u1 u and u u1, so [u1, u] and the lengths keep it out
         assert (mutant[0] != clean[0]) == (k != 0), (i, k)
+
+
+# the counted channels that fail in the sedenions, which are neither normed nor
+# alternative (Baez, "The Octonions", Bull. AMS 39, 2002, section 2.2)
+_SEDENION_FAILURES = {
+    "core:norm_multiplicativity", "core:sandwich",
+    "decomposition:orthogonality", "decomposition:closed_forms",
+    "decomposition:associator_argument_orthogonality",
+    "decomposition:associator_extended_orthogonality",
+    "decomposition:mixed_product_anticommutativity",
+    "lengths:anticommutator_length", "lengths:commutator_length", "lengths:associator_length",
+    "lengths:anticommutative_component", "lengths:product_norm_multiplicativity",
+    "bridge:okubo_bracket_display", "bridge:bac_cab",
+}
+
+
+@pytest.mark.parametrize("rows", (4, 40))
+@pytest.mark.parametrize("seed", range(5))
+def test_sedenions_fail_exactly_the_channels_that_need_a_normed_alternative_algebra(seed, rows):
+    # each failing channel fails by far, and every other one still reads rounding
+    tol = core.Tolerance()
+    maxima = {}
+    for suite in _SUITES:
+        if suite.random:
+            draws = verify._draw_block(suite, RunConfig(seed=seed, trials=rows), 16, 0, rows)
+            ch = Channels(tol)
+            suite.body(draws, ch)
+            maxima.update((f"{suite.name}:{k}", v) for k, v in ch.counted().items())
+    failing = {k for k, v in maxima.items() if v > tol.rel}
+    assert failing == _SEDENION_FAILURES
+    assert min(maxima[k] for k in failing) > 1e-4
+    assert max(v for k, v in maxima.items() if k not in failing) < 1e-14

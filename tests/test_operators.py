@@ -70,6 +70,14 @@ def test_sign_triple_accepts_numpy_integers():
     signs = SignTriple(np.int64(1), np.int8(-1), np.uint8(1))
     assert signs.label == "(+1,-1,+1)"
     assert signs in ALL_SIGN_TRIPLES
+    # stored as the Python ints they equal
+    assert all(type(e) is int for e in (signs.eps_plus, signs.eps_star, signs.eps_vee))
+
+
+def test_op_word_accepts_numpy_bools():
+    word = OpWord(plus=np.True_, star=np.False_)
+    assert word == OpWord(plus=True) and word.label == "+"
+    assert all(type(flag) is bool for flag in (word.plus, word.star, word.vee))
 
 
 @pytest.mark.parametrize("flags", ({"plus": 2}, {"star": 1}, {"vee": "yes"}, {"plus": None}))
