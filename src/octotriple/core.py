@@ -45,6 +45,12 @@ def _is_integer(x) -> bool:
     return type(x) is int or (not isinstance(x, bool) and isinstance(x, numbers.Integral))
 
 
+def _is_real(x) -> bool:
+    """A real number, not a bool, as a scalar operand; a plain float or int needs only the
+    type test.  A numpy bool is no `numbers.Real`, so it is refused too."""
+    return type(x) in (float, int) or (not isinstance(x, bool) and isinstance(x, numbers.Real))
+
+
 def _check_dim(dim: int) -> int:
     if not (_is_integer(dim) and dim in VALID_DIMS):
         raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
@@ -183,19 +189,22 @@ class Hyper:
     def __mul__(self, other):
         if isinstance(other, Hyper):
             return multiply(self, other)
-        if isinstance(other, (int, float)):
+        if _is_real(other):
             return Hyper._wrap(self.dim, self.coeffs * float(other))
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
+        if _is_real(other):
             return Hyper._wrap(self.dim, self.coeffs * float(other))
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Hyper._wrap(self.dim, self.coeffs / float(other))
-        return NotImplemented
+        if not _is_real(other):
+            return NotImplemented
+        divisor = float(other)
+        if divisor == 0.0:
+            raise ZeroDivisionError("Hyper division by zero")
+        return Hyper._wrap(self.dim, self.coeffs / divisor)
 
     def isclose(self, other: "Hyper", tol: Tolerance = DEFAULT_TOLERANCE,
                 scale: float | None = None) -> bool:

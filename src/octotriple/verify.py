@@ -44,6 +44,7 @@ A report's details are its channels alone; what a suite reports but never gates 
 vanishes where its channel is at most rel) and the hadamard column-preserving counts.
 No two counted channels repeat one computation: the operator's two-operation components
 are the decomposition's parts, by the same plans and transform, so only it checks them.
+`CHANNELS` declares every channel once: the claim it checks, where it runs, and what it rests on.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ class RunConfig:
         dims = tuple(self.dims)
         if not dims:
             raise ValueError("dims must not be empty")
-        object.__setattr__(self, "dims", tuple(map(_check_dim, dims)))
+        # a repeated dim would run, and print, every suite at it again
+        object.__setattr__(self, "dims", tuple(dict.fromkeys(map(_check_dim, dims))))
 
 
 @dataclass(frozen=True)
@@ -610,6 +612,104 @@ _SUITES = (
 
 SUITE_INDEX = {s.name: i for i, s in enumerate(_SUITES)}
 SUITE_NAMES = tuple(s.name for s in _SUITES)
+
+
+def _row(claim: str, dims: tuple[int, ...] = (), fails_at_16: bool = False,
+         unmoved: str = "", unfailed: str = "") -> tuple:
+    mutants = ("unmoved", unmoved) if unmoved else ("unfailed", unfailed) if unfailed else ()
+    return claim, dims, fails_at_16, mutants
+
+
+# The channel table: one row (claim, dims, fails_at_16, mutants) per channel a suite records,
+# keyed "suite:channel".  claim is the key of the README claims-table row it checks, or "info"
+# for a channel reported and never counted; dims, where its body records it when that is fewer
+# than its suite's dims; fails_at_16, whether it fails in the sedenions, the doubling rule
+# applied once more; mutants, for a counted channel that no mutant of tests/test_mutants.py
+# fails at dims 4 and 8, ("unmoved", why) if none moves it off 0.0, or ("unfailed", why) if
+# none pushes it above rel, as it compares two routes that a mutant changes alike.  The bodies
+# record by name and nothing reads the table at run time; the tests pin it to the reports.
+CHANNELS = {
+    "core:unit_law": _row("library"),
+    "core:conjugation_involution": _row("library", unmoved=(
+        "it checks `_conjugate` alone, which no mutant touches")),
+    "core:conjugation_formula": _row("library", unmoved=(
+        "it checks `_conjugate` alone, which no mutant touches")),
+    "core:inner_half_sum": _row("library"),
+    "core:norm_sq_as_product": _row("library"),
+    "core:product_reversal": _row("library"),
+    "core:transfer_rule": _row("library"),
+    "core:trace_invariance": _row("library"),
+    "core:sandwich": _row("library", fails_at_16=True),
+    "core:flexibility": _row("library"),
+    "core:associativity": _row("split", dims=(1, 2, 4)),
+    "core:norm_multiplicativity": _row("library", fails_at_16=True),
+    "core:spacetime_interval": _row("library", unfailed=(
+        "(u, conj(u)) against 2 (u, i0)^2 - (u, u): inner products and conjugates alone")),
+    "core:imaginary_part": _row("library", unmoved=(
+        "it checks `_imaginary_part` and `_inner`, which no mutant touches")),
+    "decomposition:reconstruction": _row("split"),
+    "decomposition:stored_residual": _row("split"),
+    "decomposition:parts_match_operations": _row("split"),
+    "decomposition:orthogonality": _row("split", fails_at_16=True),
+    "decomposition:half_form_agreement": _row("library"),
+    "decomposition:closed_forms": _row("cross", fails_at_16=True),
+    "decomposition:associator_cancellation": _row("cross_sign"),
+    "decomposition:antisymmetry": _row("cross_sign"),
+    "decomposition:degenerate_pair": _row("cross_sign"),
+    "decomposition:commutator_argument_orthogonality": _row("cross"),
+    "decomposition:associator_argument_orthogonality": _row("library", fails_at_16=True),
+    "decomposition:associator_extended_orthogonality": _row("library", fails_at_16=True),
+    "decomposition:mixed_product_anticommutativity": _row("cross", fails_at_16=True),
+    "decomposition:associator_zero_low_dim": _row("split", dims=(1, 2, 4)),
+    "decomposition:unit_center_reduction": _row("cross"),
+    "decomposition:cross2_unit": _row("cross"),
+    "decomposition:cross2_orthogonal_to_unit": _row("cross", unmoved=(
+        "the scalar parts of u1 u2 and u2 u1 sum the same a_i b_i s[i, 0] in the same order")),
+    "decomposition:cross2_matches_3d_cross": _row("cross", dims=(4,)),
+    "decomposition:pair_product_expansion": _row("cross"),
+    "lengths:anticommutator_length": _row("split", fails_at_16=True),
+    "lengths:commutator_length": _row("split", fails_at_16=True),
+    "lengths:associator_length": _row("split", fails_at_16=True),
+    "lengths:product_norm_multiplicativity": _row("split", fails_at_16=True),
+    "lengths:anticommutative_component": _row("library", fails_at_16=True),
+    "lengths:gram_half_difference": _row("library", unfailed=(
+        "det Gram' against (det Gram - det conj Gram) / 2: inner products and conjugates alone")),
+    "lengths:gram_positive_semidefinite": _row("library", unmoved=(
+        "max(0, -det) of the arguments' Gram matrix, which holds inner products alone")),
+    "operator:tabulated_closed_forms": _row("signs"),
+    "operator:adjoint_pairing": _row("signs"),
+    "operator:adjoint_transpose": _row("signs"),
+    "operator:linearity": _row("signs", unfailed=(
+        "a mutant plan or sign table is still bilinear: the words e and v stay real-linear")),
+    "operator:component3_sum": _row("signs"),
+    "operator:component3_telescoping": _row("signs"),
+    "operator:component3_eigen_plus": _row("signs"),
+    **{f"operator:info:three_op_norm{s.label}": _row("info") for s in ops.ALL_SIGN_TRIPLES},
+    "operator:component3_public_api": _row("library", unfailed=(
+        "both routes share plans and products; a butterfly flip negates a difference, not row 0")),
+    "hadamard:a4_printed": _row("hadamard"),
+    "hadamard:a8_row_ab": _row("hadamard"),
+    "hadamard:inverse_up_to_factor": _row("hadamard"),
+    "hadamard:symmetric": _row("hadamard"),
+    "hadamard:normalized": _row("hadamard"),
+    "hadamard:row_group": _row("hadamard"),
+    "hadamard:row_group_detects_flip": _row("hadamard"),
+    "hadamard:automorphism_count": _row("hadamard"),
+    "hadamard:symmetric_count": _row("hadamard"),
+    "hadamard:asymmetric_count": _row("hadamard"),
+    "hadamard:identity_included": _row("hadamard"),
+    "hadamard:group_closure": _row("hadamard"),
+    "hadamard:group_inverse": _row("hadamard"),
+    "hadamard:a4_row_fixing_permutations": _row("hadamard"),
+    "hadamard:info:column_set_preserving_count_order4": _row("info"),
+    "hadamard:info:column_set_preserving_count_order8": _row("info"),
+    "hadamard:automorphisms_preserve_columns": _row("hadamard"),
+    "hadamard:a4_swap_column_order": _row("hadamard"),
+    "bridge:okubo_reconstruction": _row("okubo"),
+    "bridge:okubo_bracket_display": _row("okubo", fails_at_16=True),
+    "bridge:dray_manogue_decomposition": _row("okubo"),
+    "bridge:bac_cab": _row("okubo", fails_at_16=True),
+}
 
 
 def _draw_block(suite: _Suite, config: RunConfig, dim: int,

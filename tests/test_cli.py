@@ -17,6 +17,7 @@ import octotriple.triple as tp
 import octotriple.verify as verify
 from octotriple.core import Tolerance, _norm
 from octotriple.verify import (
+    CHANNELS,
     Channels,
     RunConfig,
     SUITE_INDEX,
@@ -70,6 +71,14 @@ def test_run_config_validation():
     assert RunConfig(trials=1 << 32).trials == 1 << 32
     with pytest.raises(ValueError, match="2\\^32"):
         RunConfig(trials=(1 << 32) + 1)
+
+
+def test_a_repeated_dim_runs_once():
+    assert RunConfig(dims=(4, 4, 8, 4)).dims == (4, 8)
+    once = run_cli("verify", "--trials", "3", "--dims", "4", "--suites", "core")
+    assert once.returncode == 0 and once.stdout.count("\n") == 1
+    twice = run_cli("verify", "--trials", "3", "--dims", "4,4", "--suites", "core")
+    assert twice.stdout == once.stdout
 
 
 def test_suite_registry_is_stable():
@@ -395,70 +404,17 @@ def test_block_decomposition_rows_do_not_depend_on_the_block_size(dim):
     _assert_rows_do_not_depend_on_the_block_size(tp._decompose_triple, (u1, u, u2))
 
 
-_CORE = {"conjugation_formula", "conjugation_involution", "flexibility", "imaginary_part",
-         "inner_half_sum", "norm_multiplicativity", "norm_sq_as_product", "product_reversal",
-         "sandwich", "spacetime_interval", "trace_invariance", "transfer_rule", "unit_law"}
-_DECOMPOSITION = {
-    "antisymmetry", "associator_argument_orthogonality", "associator_cancellation",
-    "associator_extended_orthogonality", "closed_forms", "commutator_argument_orthogonality",
-    "cross2_orthogonal_to_unit", "cross2_unit", "degenerate_pair",
-    "half_form_agreement", "mixed_product_anticommutativity", "orthogonality",
-    "pair_product_expansion", "parts_match_operations", "reconstruction", "stored_residual",
-    "unit_center_reduction"}
-_LENGTHS = {"anticommutative_component", "anticommutator_length", "associator_length",
-            "commutator_length", "gram_half_difference", "gram_positive_semidefinite",
-            "product_norm_multiplicativity"}
-_OPERATOR = {
-    "adjoint_pairing", "adjoint_transpose", "component3_eigen_plus", "component3_public_api",
-    "component3_sum", "component3_telescoping", "linearity", "tabulated_closed_forms",
-    *(f"info:three_op_norm({a},{b},{c})"
-      for a in ("+1", "-1") for b in ("+1", "-1") for c in ("+1", "-1"))}
-_HADAMARD = {
-    "a4_printed", "a4_row_fixing_permutations", "a4_swap_column_order", "a8_row_ab",
-    "asymmetric_count", "automorphism_count", "automorphisms_preserve_columns",
-    "group_closure", "group_inverse", "identity_included", "inverse_up_to_factor",
-    "normalized", "row_group", "row_group_detects_flip", "symmetric", "symmetric_count",
-    "info:column_set_preserving_count_order4", "info:column_set_preserving_count_order8"}
-_BRIDGE = {"bac_cab", "dray_manogue_decomposition", "okubo_bracket_display",
-           "okubo_reconstruction"}
-CHANNELS = {
-    ("core", 4): _CORE | {"associativity"},
-    ("core", 8): _CORE,
-    ("decomposition", 4): _DECOMPOSITION | {"associator_zero_low_dim", "cross2_matches_3d_cross"},
-    ("decomposition", 8): _DECOMPOSITION,
-    ("lengths", 4): _LENGTHS,
-    ("lengths", 8): _LENGTHS,
-    ("operator", 4): _OPERATOR,
-    ("operator", 8): _OPERATOR,
-    ("hadamard", 8): _HADAMARD,
-    ("bridge", 4): _BRIDGE,
-    ("bridge", 8): _BRIDGE,
-}
+def _table_channels(suite, dim):
+    """The channels the table says a suite's report at dim records."""
+    return {key.split(":", 1)[1] for key, (_, dims, _, _) in CHANNELS.items()
+            if key.split(":", 1)[0] == suite and (not dims or dim in dims)}
 
 
 def test_every_suite_reports_its_pinned_channels():
     reports = run_all(RunConfig(seed=7, trials=25, dims=(4, 8)))
-    assert {(r.suite, r.dim): set(r.details["channels"]) for r in reports} == CHANNELS
-
-
-def test_no_two_suites_share_a_channel_name():
-    # a channel is named without its suite where the suites' channels are merged,
-    # as in tests/test_mutants.py
-    suites = {}
-    for (suite, _), names in CHANNELS.items():
-        for name in names:
-            suites.setdefault(name, set()).add(suite)
-    assert {name: s for name, s in suites.items() if len(s) > 1} == {}
-
-
-def test_the_readme_claims_table_names_every_counted_channel_once():
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
-    section = readme.split("## Claims and the channels that check them\n")[1].split("\n## ")[0]
-    table = "".join(line for line in section.splitlines() if line.startswith("|"))
-    named = re.findall(r"`([a-z]+):([a-z0-9_]+)`", table)
-    counted = {(suite, name) for (suite, _), names in CHANNELS.items()
-               for name in names if not name.startswith("info:")}
-    assert sorted(named) == sorted(counted)
+    for r in reports:
+        assert set(r.details["channels"]) == _table_channels(r.suite, r.dim), (r.suite, r.dim)
+    assert {f"{r.suite}:{k}" for r in reports for k in r.details["channels"]} == set(CHANNELS)
 
 
 def test_every_suite_passes_at_dims_1_and_2_with_the_dim_4_channels():
@@ -467,9 +423,22 @@ def test_every_suite_passes_at_dims_1_and_2_with_the_dim_4_channels():
     reports = run_all(RunConfig(seed=7, trials=25, dims=(1, 2)))
     assert len(reports) == 11 and all(r.passed for r in reports)
     for r in reports:
-        want = CHANNELS[(r.suite, 8)] if r.suite == "hadamard" else (
-            CHANNELS[(r.suite, 4)] - {"cross2_matches_3d_cross"})
-        assert set(r.details["channels"]) == want, (r.suite, r.dim)
+        want = _table_channels(r.suite, 8) if r.suite == "hadamard" else (
+            _table_channels(r.suite, 4) - {"cross2_matches_3d_cross"})
+        assert set(r.details["channels"]) == want == _table_channels(r.suite, r.dim), (
+            r.suite, r.dim)
+
+
+def test_the_readme_claims_table_names_every_counted_channel_once():
+    # each claim row lists exactly the counted channels the table gives that claim
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("## Claims and the channels that check them\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    named = {key.strip(" `"): sorted(re.findall(r"`([a-z]+:[a-z0-9_]+)`", channels))
+             for key, _, channels in rows}
+    claims = {claim for claim, _, _, _ in CHANNELS.values()} - {"info"}
+    assert len(rows) == len(named) and named == {
+        c: sorted(key for key, (claim, _, _, _) in CHANNELS.items() if claim == c) for c in claims}
 
 
 class _UnitScales(Channels):
@@ -514,8 +483,8 @@ def test_suite_bodies_take_every_norm_from_the_recorder(name, dim, monkeypatch):
         monkeypatch.setattr(module, "np", _NoScaleNumpy())
     ch = _UnitScales(Tolerance())
     suite.body(draws, ch)
-    pinned = CHANNELS[(name, 8 if dim == 8 else 4)] - {"component3_public_api"}
-    assert set(ch.maxima) == (pinned if dim >= 4 else pinned - {"cross2_matches_3d_cross"})
+    # the one channel that only trial 0's public route records
+    assert set(ch.maxima) == _table_channels(name, dim) - {"component3_public_api"}
     assert all(np.isfinite(v) for v in ch.maxima.values())
 
 

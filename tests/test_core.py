@@ -207,6 +207,32 @@ def test_adding_what_is_not_a_hyper_raises_type_error(add):
         add(unit(4))
 
 
+@pytest.mark.parametrize("scalar", (2, 2.0, np.int64(2), np.float32(2.0), Fraction(2)),
+                         ids=("int", "float", "numpy_int", "numpy_float32", "fraction"))
+def test_a_real_scalar_scales_a_hyper(scalar):
+    u = Hyper(4, [1.0, -2.0, 0.5, 3.0])
+    for scaled in (u * scalar, scalar * u):
+        assert type(scaled) is Hyper and scaled.coeffs.tolist() == [2.0, -4.0, 1.0, 6.0]
+    assert (u / scalar).coeffs.tolist() == [0.5, -1.0, 0.25, 1.5]
+
+
+@pytest.mark.parametrize("scalar", (True, False, np.True_, np.False_))
+def test_a_bool_is_no_scalar_operand(scalar):
+    # True == 1, so u * True returned u and u / False inf and NaN coefficients
+    u = Hyper.basis(4, 1)
+    for op in (lambda: u * scalar, lambda: scalar * u, lambda: u / scalar):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("zero", (0, 0.0, -0.0, np.float64(0.0), Fraction(0)),
+                         ids=("int", "float", "negative_float", "numpy_float", "fraction"))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_division_by_zero_raises_as_float_division_does(zero):
+    with pytest.raises(ZeroDivisionError):
+        Hyper.basis(4, 1) / zero
+
+
 # -- multiplication against the exact oracle ----------------------------------
 
 

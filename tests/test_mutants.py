@@ -21,14 +21,14 @@ Three mutant classes, each applied by monkeypatching:
   at rounding level.
 
 A counted channel that no mutant moves off 0.0, or none pushes above the
-tolerance, checks nothing that these mutants break; at dims 4 and 8 only five
-channels may stay at 0.0 and nine below the tolerance, each pinned with the
-reason no mutant can reach it.
+tolerance, checks nothing that these mutants break; at dims 4 and 8 only the
+five "unmoved" and the four "unfailed" channels of `verify.CHANNELS` may,
+each with the reason no mutant can reach it.
 
 A real algebra is the last control: the sedenions, the doubling rule applied
 once more, at dim 16.  The suite bodies take any width, so they run there
 unpatched, and exactly the fourteen channels whose identities need a normed or
-alternative algebra must fail.
+alternative algebra, those the table marks `fails_at_16`, must fail.
 """
 
 import functools
@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from octotriple import core, hadamard, operators, triple, verify
-from octotriple.verify import _SUITES, Channels, RunConfig, run_all
+from octotriple.verify import _SUITES, CHANNELS, Channels, RunConfig, run_all
 
 PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.random)
 
@@ -190,23 +190,14 @@ def _mutants(dim):
                ("setattr", operators, "transform", mutant))
 
 
-# the counted channels that stay exactly 0.0 under every mutant, and why
-_UNMOVED = {
-    # they check _conjugate and _imaginary_part, which no mutant touches
-    "conjugation_formula", "conjugation_involution", "imaginary_part",
-    # the scalar part of u1 u2 - u2 u1 sums the same products a_i b_i s[i, 0] in the
-    # same order whatever the signs, so only a wrong index table would move it
-    "cross2_orthogonal_to_unit",
-    # an inequality, recorded as max(0, -det) of the Gram matrix of the arguments:
-    # that matrix holds inner products alone, which no mutant touches
-    "gram_positive_semidefinite",
-}
+# the counted channels that no mutant moves off 0.0, and those that none fails
+_UNMOVED = {k for k, (_, _, _, mutants) in CHANNELS.items() if mutants and mutants[0] == "unmoved"}
+_UNFAILED = {k for k, (_, _, _, mutants) in CHANNELS.items() if mutants}
 
 
 def _counted_channels(config):
-    """name -> maximum of each counted channel of the per-trial suites; no two suites
-    share a channel name."""
-    return {k: v for r in run_all(config, suites=PER_TRIAL_SUITES)
+    """suite:name -> maximum of each counted channel of the per-trial suites."""
+    return {f"{r.suite}:{k}": v for r in run_all(config, suites=PER_TRIAL_SUITES)
             for k, v in r.details["channels"].items() if not k.startswith("info:")}
 
 
@@ -231,24 +222,6 @@ def _mutant_reach():
 def test_no_counted_channel_but_five_is_zero_under_every_mutant():
     every, moved, _ = _mutant_reach()
     assert every - moved == _UNMOVED
-
-
-# the counted channels that no mutant pushes above the tolerance, beyond _UNMOVED, and
-# why: each compares two routes that a mutant changes alike, so it reads rounding only
-_UNFAILED = _UNMOVED | {
-    # det Gram' against (det Gram - det of the conjugated Gram) / 2: inner products and
-    # conjugates alone, which no mutant touches
-    "gram_half_difference",
-    # (u, conj(u)) against 2 (u, i0)^2 - (u, u): the same
-    "spacetime_interval",
-    # a mutant plan or sign table still gives a bilinear product, so the words e and v
-    # stay real-linear in the operand; no transform is involved
-    "linearity",
-    # the first three-operation component against the mean of the eight apply values:
-    # both take the same plans and products, and a flipped butterfly negates a
-    # difference, never the all-plus sum that makes row 0
-    "component3_public_api",
-}
 
 
 def test_every_counted_channel_but_nine_fails_under_some_mutant():
@@ -298,16 +271,7 @@ def test_no_length_terms_cross_into_a_mutant_run(dim, monkeypatch):
 
 # the counted channels that fail in the sedenions, which are neither normed nor
 # alternative (Baez, "The Octonions", Bull. AMS 39, 2002, section 2.2)
-_SEDENION_FAILURES = {
-    "core:norm_multiplicativity", "core:sandwich",
-    "decomposition:orthogonality", "decomposition:closed_forms",
-    "decomposition:associator_argument_orthogonality",
-    "decomposition:associator_extended_orthogonality",
-    "decomposition:mixed_product_anticommutativity",
-    "lengths:anticommutator_length", "lengths:commutator_length", "lengths:associator_length",
-    "lengths:anticommutative_component", "lengths:product_norm_multiplicativity",
-    "bridge:okubo_bracket_display", "bridge:bac_cab",
-}
+_SEDENION_FAILURES = {k for k, (_, _, fails_at_16, _) in CHANNELS.items() if fails_at_16}
 
 
 @pytest.mark.parametrize("rows", (4, 40))
