@@ -105,6 +105,10 @@ class Hyper:
     dim: int
     coeffs: np.ndarray
 
+    # numpy defers every operator to this class, so an ndarray operand raises TypeError
+    # instead of broadcasting into an object array of Hypers
+    __array_ufunc__ = None
+
     def __post_init__(self) -> None:
         if (dim := _check_dim(self.dim)) is not self.dim:
             object.__setattr__(self, "dim", dim)

@@ -1,7 +1,10 @@
+import ast
+import doctest
 import importlib
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -47,10 +50,14 @@ def run_cli(*args, stdin=None):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(*args):
-    """`python -m octotriple *args` in a fresh process, for the entry point."""
+def run_cli_process(*args, env=None):
+    """`python -m octotriple *args` in a fresh process, for the entry point,
+    with env's variables set over this process's."""
     return subprocess.run([sys.executable, "-m", "octotriple", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, **(env or {})})
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 # -- config validation -----------------------------------------------------------
@@ -295,6 +302,7 @@ def test_rows_of_the_shared_generator_replay_alone(seed):
         verify._draw_block(suite, config, 8, last, last + 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blocks_of_any_size_give_the_same_reports(monkeypatch):
     # trial 0 runs through the public API once, in the first block, so the
     # maxima over blocks of 7, 7, 7 and 4 rows are those over one block of 25
@@ -302,6 +310,9 @@ def test_blocks_of_any_size_give_the_same_reports(monkeypatch):
     whole = run_all(config)
     monkeypatch.setattr(verify, "_BLOCK_ROWS", 7)
     assert run_all(config) == whole
+    # a last block of one row, which rounds as the 1-D products do, passes too
+    reports = run_all(RunConfig(seed=42, trials=22, dims=(1, 2, 4, 8)))
+    assert len(reports) == 21 and all(r.passed for r in reports)
 
 
 def _bits(maxima):
@@ -431,14 +442,19 @@ def test_every_suite_passes_at_dims_1_and_2_with_the_dim_4_channels():
 
 def test_the_readme_claims_table_names_every_counted_channel_once():
     # each claim row lists exactly the counted channels the table gives that claim
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
-    section = readme.split("## Claims and the channels that check them\n")[1].split("\n## ")[0]
+    section = README.read_text().split("## Claims and the channels that check them\n")[1]
+    section = section.split("\n## ")[0]
     rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
     named = {key.strip(" `"): sorted(re.findall(r"`([a-z]+:[a-z0-9_]+)`", channels))
              for key, _, channels in rows}
     claims = {claim for claim, _, _, _ in CHANNELS.values()} - {"info"}
     assert len(rows) == len(named) and named == {
         c: sorted(key for key, (claim, _, _, _) in CHANNELS.items() if claim == c) for c in claims}
+
+
+def test_the_readme_example_runs():
+    failed, attempted = doctest.testfile(str(README), module_relative=False)
+    assert failed == 0 and attempted >= 1
 
 
 class _UnitScales(Channels):
@@ -608,6 +624,17 @@ def test_every_exported_name_is_its_home_modules_object():
         octotriple.no_such_name
 
 
+def test_no_module_binds_a_top_level_name_twice():
+    # a second def shadows the first, whose body then never runs
+    root = pathlib.Path(__file__).parent.parent
+    twice = []
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]):
+        names = [node.name for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        twice += sorted({(path.name, name) for name in names if names.count(name) > 1})
+    assert twice == []
+
+
 # -- CLI: verify -----------------------------------------------------------------
 
 
@@ -619,12 +646,15 @@ def test_cli_verify_small_run_passes():
 
 
 def test_cli_verify_json_is_byte_identical_for_same_seed():
-    a = run_cli_process("verify", "--seed", "5", "--trials", "10", "--dims", "8", "--json")
-    b = run_cli_process("verify", "--seed", "5", "--trials", "10", "--dims", "8", "--json")
-    assert a.returncode == 0
+    # whatever the hash seed, and each line strict JSON
+    a, b = (run_cli_process("verify", "--seed", "42", "--trials", "200", "--dims", "1,2,4,8",
+                            "--json", env={"PYTHONHASHSEED": seed}) for seed in ("1", "2"))
+    assert a.returncode == 0, a.stderr
     assert a.stdout == b.stdout
-    for line in a.stdout.splitlines():
-        json.loads(line)
+    lines = a.stdout.splitlines()
+    assert len(lines) == 21
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)
 
 
 def test_cli_verify_different_seed_changes_output():
@@ -672,15 +702,20 @@ def test_cli_verify_fails_with_impossible_tolerance():
     assert "FAIL" in res.stdout
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_verify_suites_prints_the_selected_lines_of_the_full_run():
-    common = ("--seed", "5", "--trials", "10", "--dims", "4,8", "--json")
+    # the operator and lengths suites stand without the decomposition suite
+    # that checks the parts they share
+    common = ("--seed", "5", "--trials", "10", "--dims", "1,2,4,8", "--json")
     full = run_cli("verify", *common)
-    some = run_cli("verify", *common, "--suites", "bridge", "hadamard")
-    assert full.returncode == 0 and some.returncode == 0, some.stderr
-    wanted = [line for line in full.stdout.splitlines()
-              if json.loads(line)["suite"] in ("bridge", "hadamard")]
-    assert len(wanted) == 3
-    assert some.stdout == "".join(line + "\n" for line in wanted)
+    assert full.returncode == 0, full.stderr
+    for selected, count in ((("bridge", "hadamard"), 5), (("operator", "lengths"), 8)):
+        some = run_cli("verify", *common, "--suites", *selected)
+        assert some.returncode == 0, some.stderr
+        wanted = [line for line in full.stdout.splitlines()
+                  if json.loads(line)["suite"] in selected]
+        assert len(wanted) == count
+        assert some.stdout == "".join(line + "\n" for line in wanted)
 
 
 def test_cli_verify_rejects_unknown_suite():
@@ -704,7 +739,7 @@ def test_cli_loads_only_the_modules_its_command_runs():
             "for argv in sys.argv[1:]:\n"
             "    cli.main(argv.split('|'))\n"
             "    mods = [m.removeprefix('octotriple.') for m in sys.modules\n"
-            "            if m.startswith('octotriple.') or m == 'numpy.ma']\n"
+            "            if m.startswith('octotriple.') or m in ('numpy.ma', 'numpy.random')]\n"
             "    print('loaded:', *mods)\n")
     runs = (["hadamard|2", "decompose|" + QUATERNION_TRIPLE], ["verify|--suites|hadamard"])
     loaded = []
@@ -714,8 +749,9 @@ def test_cli_loads_only_the_modules_its_command_runs():
         loaded += [set(line.split()[1:]) for line in res.stdout.splitlines()
                    if line.startswith("loaded:")]
     hadamard, decompose, verify_hadamard = loaded
+    # numpy.random costs start-up time, and neither command draws
     assert hadamard == {"cli", "core", "hadamard"}
-    assert "triple" in decompose and not {"bridge", "verify"} & decompose
+    assert "triple" in decompose and not {"bridge", "verify", "numpy.random"} & decompose
     # the hadamard suite's group checks sort instead of np.isin, which imports numpy.ma
     assert "verify" in verify_hadamard and "numpy.ma" not in verify_hadamard
 
@@ -744,6 +780,18 @@ def test_cli_decompose_inline_quaternion_triple():
     assert obj["norm_sq"] == {"anti": 0.0, "comm": 1.0, "assoc": 0.0}
     assert obj["closed_form_norm_sq"] == {"anti": 0.0, "comm": 1.0, "assoc": 0.0}
     assert obj["residual"] == 0.0
+    # an octonion triple: strict JSON, and each closed-form length within the
+    # README bound of its part's, 1e-12 + 1e-8 scale^2
+    triple = [[0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 1.5, -0.4],
+              [1.1, 0.2, -0.9, 0.6, 0.3, -1.4, 0.8, 0.05],
+              [-0.5, 0.9, 1.3, -0.2, 0.4, 0.7, -1.1, 0.6]]
+    res = run_cli("decompose", json.dumps([{"dim": 8, "coeffs": c} for c in triple]))
+    obj = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert {"anti", "comm", "assoc", "residual"} <= set(obj)
+    scale = float(np.prod([np.linalg.norm(c) for c in triple]))
+    for part in ("anti", "comm", "assoc"):
+        assert abs(obj["closed_form_norm_sq"][part] - obj["norm_sq"][part]) <= (
+            1e-12 + 1e-8 * scale**2)
 
 
 def test_cli_decompose_object_form_and_stdin():
@@ -784,13 +832,13 @@ def test_cli_decompose_unreadable_input_exits_2_with_one_line(kind, tmp_path, mo
 def test_cli_decompose_non_utf8_stdin_in_utf8_mode_cannot_be_read():
     # Python's UTF-8 mode (and a C locale) decodes sys.stdin with surrogateescape,
     # so only the bytes themselves can say that they are not UTF-8
-    res = subprocess.run([sys.executable, "-m", "octotriple", "decompose", "-"],
-                         input=b"\xff[1]", capture_output=True,
-                         env={**os.environ, "PYTHONUTF8": "1"})
-    assert res.returncode == 2
-    assert res.stdout == b""
-    [line] = res.stderr.decode().splitlines()
-    assert "cannot read standard input" in line
+    for env in ({"PYTHONUTF8": "1"}, {"LC_ALL": "C"}):
+        res = subprocess.run([sys.executable, "-m", "octotriple", "decompose", "-"],
+                             input=b"\xff[1]", capture_output=True, env={**os.environ, **env})
+        assert res.returncode == 2, env
+        assert res.stdout == b""
+        [line] = res.stderr.decode().splitlines()
+        assert "cannot read standard input" in line
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -799,7 +847,8 @@ def test_cli_decompose_overflow_exits_1_without_json():
     res = run_cli("decompose", json.dumps(big))
     assert res.returncode == 1
     assert res.stdout == ""
-    assert "overflows" in res.stderr
+    [line] = res.stderr.splitlines()
+    assert "overflows" in line
 
 
 @pytest.mark.parametrize("digits, fragment", ((400, "coeffs[0]"), (5000, "malformed JSON")),
@@ -814,9 +863,15 @@ def test_cli_decompose_rejects_a_huge_integer_coefficient(digits, fragment):
 
 
 def test_cli_decompose_rejects_malformed_json():
-    res = run_cli("decompose", '[{"dim": 4, "coeffs": [0, 1, 0]}, 1, 2]')
-    assert res.returncode == 2
-    assert "coeffs" in res.stderr
+    one = '{"dim": 1, "coeffs": [1]}'
+    for source, stdin, fragment in (('[{"dim": 4, "coeffs": [0, 1, 0]}, 1, 2]', None, "coeffs"),
+                                    (f"[{one}, {one}]", None, "expected exactly 3 values, got 2"),
+                                    ("-", "3", "expected a JSON array of 3 values or an object")):
+        res = run_cli("decompose", source, stdin=stdin)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        [line] = [l for l in res.stderr.splitlines() if l.startswith("octotriple: error: ")]
+        assert fragment in line
 
 
 def test_cli_decompose_rejects_dim_mismatch():

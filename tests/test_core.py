@@ -207,13 +207,23 @@ def test_adding_what_is_not_a_hyper_raises_type_error(add):
         add(unit(4))
 
 
-@pytest.mark.parametrize("scalar", (2, 2.0, np.int64(2), np.float32(2.0), Fraction(2)),
-                         ids=("int", "float", "numpy_int", "numpy_float32", "fraction"))
+@pytest.mark.parametrize("scalar", (2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0),
+                                    Fraction(2)),
+                         ids=("int", "float", "numpy_int", "numpy_float32", "numpy_float64",
+                              "fraction"))
 def test_a_real_scalar_scales_a_hyper(scalar):
     u = Hyper(4, [1.0, -2.0, 0.5, 3.0])
     for scaled in (u * scalar, scalar * u):
         assert type(scaled) is Hyper and scaled.coeffs.tolist() == [2.0, -4.0, 1.0, 6.0]
     assert (u / scalar).coeffs.tolist() == [0.5, -1.0, 0.25, 1.5]
+
+
+def test_an_array_is_no_scalar_operand():
+    # numpy broadcast a Hyper over an array operand into an object array of Hypers
+    u = Hyper.basis(4, 1)
+    for op in (lambda: np.ones(2) * u, lambda: u * np.ones(2)):
+        with pytest.raises(TypeError):
+            op()
 
 
 @pytest.mark.parametrize("scalar", (True, False, np.True_, np.False_))
@@ -555,6 +565,7 @@ def test_json_round_trip_random(u):
 @pytest.mark.parametrize("payload,fragment", [
     ('{"coeffs": [1, 0]}', "dim"),
     ('{"dim": 2}', "coeffs"),
+    pytest.param('{"dim": 2, "coeffs": "12"}', "array of numbers", id="string_coeffs"),
     ('{"dim": 3, "coeffs": [1, 0, 0]}', "dimension"),
     ('{"dim": 4, "coeffs": [1, 0]}', "coeffs"),
     ('{"dim": 2, "coeffs": [1, "x"]}', "coeffs[1]"),

@@ -159,9 +159,12 @@ def test_flipped_sign_breaks_row_group():
 
 def test_row_permutation_validation_and_algebra():
     # (True, False) would otherwise index a matrix as a boolean mask
-    for bad in ((0, 0, 1), (0.0, 1.0), (True, False), (np.float64(1), 0), ("0", "1")):
+    # (0, "a") does not sort, which the validation reads as no permutation
+    for bad in ((0, 0, 1), (0.0, 1.0), (True, False), (np.float64(1), 0), ("0", "1"), (0, "a")):
         with pytest.raises(ValueError, match="not a permutation"):
             RowPermutation(bad)
+    with pytest.raises(ValueError, match="permutation of length 2 on order 4"):
+        build(4).permuted_rows(RowPermutation((1, 0)))
     p = RowPermutation((1, 2, 0))
     q = p.inverse()
     assert q.map == (2, 0, 1)

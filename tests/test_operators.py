@@ -74,12 +74,6 @@ def test_sign_triple_accepts_numpy_integers():
     assert all(type(e) is int for e in (signs.eps_plus, signs.eps_star, signs.eps_vee))
 
 
-def test_op_word_accepts_numpy_bools():
-    word = OpWord(plus=np.True_, star=np.False_)
-    assert word == OpWord(plus=True) and word.label == "+"
-    assert all(type(flag) is bool for flag in (word.plus, word.star, word.vee))
-
-
 @pytest.mark.parametrize("flags", ({"plus": 2}, {"star": 1}, {"vee": "yes"}, {"plus": None}))
 def test_op_word_flags_are_bools(flags):
     with pytest.raises(ValueError, match="must be a bool"):
@@ -115,8 +109,9 @@ def test_an_argument_that_is_not_a_sign_triple_names_itself(call, signs, monkeyp
 
 
 def test_op_word_accepts_numpy_bools():
-    word = OpWord(plus=np.bool_(True), vee=np.bool_(False))
-    assert word == OpWord(plus=True)
+    word = OpWord(plus=np.True_, star=np.False_, vee=np.False_)
+    assert word == OpWord(plus=True) and word.label == "+"
+    assert all(type(flag) is bool for flag in (word.plus, word.star, word.vee))
     op, u = random_op(4), rand(4)
     np.testing.assert_array_equal(apply(op, word, u).coeffs,
                                   apply(op, OpWord(plus=True), u).coeffs)
@@ -223,6 +218,11 @@ def test_derivation_rejects_a_rewrite_that_does_not_commute(monkeypatch):
     assert operators._derive_plans() == _PLANS
     monkeypatch.setitem(operators._GENERATORS, "star", star_barring_central)
     with pytest.raises(RuntimeError, match="rewrite of"):
+        operators._derive_plans()
+    # a vee that keeps its plan gives each vee word the plan of the word without it
+    monkeypatch.setitem(operators._GENERATORS, "star", star)
+    monkeypatch.setitem(operators._GENERATORS, "vee", lambda p: p)
+    with pytest.raises(RuntimeError, match="not pairwise distinct"):
         operators._derive_plans()
 
 
