@@ -22,6 +22,7 @@ calls the array forms.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,19 @@ class SignMatrix:
     def __post_init__(self) -> None:
         if (n := _check_order(self.n)) is not self.n:
             object.__setattr__(self, "n", n)
-        arr = np.array(self.entries, dtype=np.int64)
+        arr = self.entries
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
+            # the entries as given, checked one by one: a cast counts bools and parses text
+            arr = np.array(arr, dtype=object)
         if arr.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got shape {arr.shape}")
-        if not np.all(np.abs(arr) == 1):
+        if arr.dtype == object:
+            for x in arr.flat:
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+                    raise ValueError(f"entries must be real numbers, got {x!r} (not bools or text)")
+        if not np.all(np.abs(arr) == 1):   # before the cast, which reads 1.5 as 1
             raise ValueError("entries must all be +1 or -1")
+        arr = arr.astype(np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -90,6 +99,9 @@ class RowPermutation:
 
     def compose(self, other: "RowPermutation") -> "RowPermutation":
         """self after other: (self.compose(other)).map[i] = other.map[self.map[i]]."""
+        if len(self.map) != len(other.map):
+            raise ValueError(f"permutation of length {len(self.map)} after one of length "
+                             f"{len(other.map)}")
         return RowPermutation(tuple(other.map[i] for i in self.map))
 
     def inverse(self) -> "RowPermutation":

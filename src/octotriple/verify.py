@@ -100,9 +100,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("trials", self.trials)):
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))   # a Philox key word, a JSON number
+            # a Philox key word, a JSON number
+            object.__setattr__(self, name, _as_int(name, value))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials > 1 << 32:   # a trial index is one 32-bit half of a Philox key word
@@ -207,6 +206,13 @@ def _largest(size: Callable, diffs):
     return size(diffs)
 
 
+def _as_int(name: str, value) -> int:
+    """value as a Python int: a numpy integer is read as its int, a bool or a float refused."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _trial_key(seed: int, suite_index: int, trial_index: int) -> tuple[int, int]:
     """The Philox key of one trial: [seed mod 2^64, suite_index * 2^32 + trial_index]."""
     if not (0 <= suite_index < 1 << 32 and 0 <= trial_index < 1 << 32):
@@ -221,7 +227,8 @@ def trial_generator(seed: int, suite_index: int, trial_index: int) -> np.random.
     generator re-keyed per row instead, and this function replays any one
     of those rows exactly.
     """
-    key = np.array(_trial_key(seed, suite_index, trial_index), dtype=np.uint64)
+    key = np.array(_trial_key(_as_int("seed", seed), _as_int("suite_index", suite_index),
+                              _as_int("trial_index", trial_index)), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,12 +1,9 @@
 import numpy as np
-import pytest
 
 from octotriple.bridge import (
     bac_cab_residual,
     dray_manogue_cross,
-    dray_manogue_residual,
     okubo_bracket,
-    okubo_bracket_display_residual,
     okubo_reconstruction_residual,
 )
 from octotriple.core import Hyper, imaginary_part, inner, norm, unit
@@ -41,14 +38,6 @@ def test_bac_cab_equal_arguments_vanish():
     assert bac_cab_residual(a, b, b) <= 1e-12 + 1e-9 * norm(a) * norm(b) ** 2
 
 
-def test_bac_cab_holds_as_printed_on_octonions():
-    worst = 0.0
-    for _ in range(200):
-        a, b, c = imag(8), imag(8), imag(8)
-        worst = max(worst, bac_cab_residual(a, b, c) / (1e-12 + scale3(a, b, c)))
-    assert worst <= 1e-9
-
-
 def test_bac_cab_sign_flip_fails_on_octonions():
     # documents that the identity holds with +associator, not -associator
     failed = 0
@@ -72,25 +61,11 @@ def test_bac_cab_projects_full_arguments():
 # -- Okubo -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim", (4, 8))
-def test_okubo_reconstruction(dim):
-    for _ in range(100):
-        u1, u, u2 = rand(dim), rand(dim), rand(dim)
-        assert okubo_reconstruction_residual(u1, u, u2) <= 1e-12 + 1e-9 * scale3(u1, u, u2)
-
-
 def test_okubo_reconstruction_with_unit_center():
     for _ in range(20):
         u1, u2 = rand(8), rand(8)
         assert okubo_reconstruction_residual(u1, unit(8), u2) <= \
             1e-12 + 1e-9 * norm(u1) * norm(u2)
-
-
-@pytest.mark.parametrize("dim", (4, 8))
-def test_okubo_bracket_display(dim):
-    for _ in range(100):
-        u1, u, u2 = rand(dim), rand(dim), rand(dim)
-        assert okubo_bracket_display_residual(u1, u, u2) <= 1e-12 + 1e-9 * scale3(u1, u, u2)
 
 
 def test_okubo_bracket_on_imaginary_quaternions():
@@ -135,10 +110,3 @@ def test_dray_manogue_antisymmetry():
         got = dray_manogue_cross(u1, u, u2)
         swapped = dray_manogue_cross(u2, u, u1)
         assert norm(got + swapped) <= 1e-12 + 1e-9 * scale3(u1, u, u2)
-
-
-@pytest.mark.parametrize("dim", (4, 8))
-def test_dray_manogue_is_commutator_minus_associator(dim):
-    for _ in range(100):
-        u1, u, u2 = rand(dim), rand(dim), rand(dim)
-        assert dray_manogue_residual(u1, u, u2) <= 1e-12 + 1e-9 * scale3(u1, u, u2)

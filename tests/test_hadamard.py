@@ -98,6 +98,16 @@ def test_sign_matrix_validation():
     # a float order would pass the membership test and then break row_group_check
     with pytest.raises(ValueError, match="order must be one of"):
         SignMatrix(4.0, np.ones((4, 4)))
+    # the values as given: a cast to int64 would read 1.5 as 1, -1.9 as -1, True as 1, "1" as 1
+    for entries in ([[1, 1.5], [1, -1]], [[1, -1.9], [1, -1]]):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            SignMatrix(2, entries)
+    for entries in ([[True, True], [True, -1]], [["1", "1"], ["1", "-1"]],
+                    np.array([[True, True], [True, False]])):
+        with pytest.raises(ValueError, match="not bools or text"):
+            SignMatrix(2, entries)
+    signs = SignMatrix(2, [[1.0, 1], [np.int8(1), -1.0]])
+    assert signs.entries.dtype == np.int64 and signs.entries.tolist() == [[1, 1], [1, -1]]
 
 
 def test_render():
@@ -169,6 +179,9 @@ def test_row_permutation_validation_and_algebra():
     q = p.inverse()
     assert q.map == (2, 0, 1)
     assert p.compose(q).map == (0, 1, 2)
+    for a, b in (((0, 1), (1, 0, 2)), ((0, 1, 2), (1, 0)), ((1, 0), (2, 0, 1))):
+        with pytest.raises(ValueError, match=f"length {len(a)} after one of length {len(b)}"):
+            RowPermutation(a).compose(RowPermutation(b))
     assert p.cycle_notation() == "(0 1 2)"
     assert RowPermutation((0, 1, 2)).cycle_notation() == "()"
     assert RowPermutation((1, 0, 3, 2)).cycle_notation() == "(0 1)(2 3)"
