@@ -18,6 +18,10 @@ takes one vector or a whole (trials, dim) block.  The public Hyper function
 `name` is that array form lifted by `_lift`, here and in `triple` and
 `bridge`; only functions whose result has a type of its own are written
 out by hand.
+
+The package's one argument policy lives here (`_is_integer`, `_is_real`, `_as_int`,
+`_as_real`, `_real_matrix`): a Python or numpy number is accepted and stored as the
+Python value; a bool, a float where an integer is due, and text are refused.
 """
 
 from __future__ import annotations
@@ -51,10 +55,41 @@ def _is_real(x) -> bool:
     return type(x) in (float, int) or (not isinstance(x, bool) and isinstance(x, numbers.Real))
 
 
+def _as_int(name: str, value, allowed: tuple | None = None, error: type = ValueError) -> int:
+    """value as a Python int if it is an integer, and one of `allowed` if given; else `error`."""
+    if _is_integer(value) and (allowed is None or value in allowed):
+        return value if type(value) is int else int(value)
+    if allowed is None:
+        raise error(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def _as_real(name: str, value) -> float:
+    """value as a Python float, if it is a real number; a bool or text raises ValueError."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _real_matrix(entries, n: int) -> np.ndarray:
+    """entries as an n x n array: a float or int ndarray as it is, anything else as an
+    object array of real numbers checked one by one, as a cast counts bools, parses text
+    and reads None as NaN."""
+    arr = entries
+    if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
+        arr = np.array(arr, dtype=object)
+    if arr.shape != (n, n):
+        raise ValueError(f"entries must be a {n}x{n} matrix, got shape {arr.shape}")
+    if arr.dtype == object:
+        for (i, j), x in np.ndenumerate(arr):
+            if not _is_real(x):
+                raise ValueError(f"entries[{i}, {j}] must be a real number, got {x!r} "
+                                 "(not bools or text)")
+    return arr
+
+
 def _check_dim(dim: int) -> int:
-    if not (_is_integer(dim) and dim in VALID_DIMS):
-        raise DimensionError(f"dimension must be one of {VALID_DIMS}, got {dim!r}")
-    return dim if type(dim) is int else int(dim)   # a numpy integer goes no further
+    return _as_int("dimension", dim, VALID_DIMS, DimensionError)
 
 
 def _check_same_dim(a: "Hyper", b: "Hyper") -> None:
@@ -71,9 +106,7 @@ class Tolerance:
 
     def __post_init__(self) -> None:
         for name, value in (("rel", self.rel), ("abs", self.abs)):   # True would pass as 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} tolerance must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _as_real(f"{name} tolerance", value))
         if not (math.isfinite(self.rel) and self.rel > 0):
             raise ValueError(f"rel tolerance must be positive and finite, got {self.rel!r}")
         if not (math.isfinite(self.abs) and self.abs >= 0):
@@ -136,7 +169,7 @@ class Hyper:
             return arr   # not a flat vector, which the shape check rejects
         values = []
         for k, x in enumerate(self.coeffs):
-            if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+            if not _is_real(x):
                 raise ValueError(f"coeffs[{k}] must be a real number, got {x!r} "
                                  "(coeffs are real numbers, not bools or text)")
             try:
@@ -167,7 +200,7 @@ class Hyper:
     def basis(cls, dim: int, index: int) -> "Hyper":
         """Basis element i_index of the given dimension."""
         dim = _check_dim(dim)
-        if not (_is_integer(index) and 0 <= index < dim):
+        if not 0 <= (index := _as_int("basis index", index)) < dim:
             raise ValueError(f"basis index must be an integer in [0, {dim}), got {index!r}")
         arr = np.zeros(dim)
         arr[index] = 1.0

@@ -22,20 +22,17 @@ calls the array forms.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _is_integer
+from .core import _as_int, _is_integer, _real_matrix
 
 VALID_ORDERS = (2, 4, 8)
 
 
 def _check_order(n: int) -> int:
-    if not (_is_integer(n) and n in VALID_ORDERS):
-        raise ValueError(f"order must be one of {VALID_ORDERS}, got {n!r}")
-    return n if type(n) is int else int(n)   # a numpy integer goes no further
+    return _as_int("order", n, VALID_ORDERS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,16 +45,7 @@ class SignMatrix:
     def __post_init__(self) -> None:
         if (n := _check_order(self.n)) is not self.n:
             object.__setattr__(self, "n", n)
-        arr = self.entries
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
-            # the entries as given, checked one by one: a cast counts bools and parses text
-            arr = np.array(arr, dtype=object)
-        if arr.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got shape {arr.shape}")
-        if arr.dtype == object:
-            for x in arr.flat:
-                if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-                    raise ValueError(f"entries must be real numbers, got {x!r} (not bools or text)")
+        arr = _real_matrix(self.entries, self.n)
         if not np.all(np.abs(arr) == 1):   # before the cast, which reads 1.5 as 1
             raise ValueError("entries must all be +1 or -1")
         arr = arr.astype(np.int64)

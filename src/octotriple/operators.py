@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hyper, _check_same_dim, _coeffs, _conjugate, _inner, _is_integer, _multiply
+from .core import Hyper, _as_int, _check_same_dim, _coeffs, _conjugate, _inner, _multiply
 # `multiply` stays bound in this module as it was before the array forms: the
 # benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
 # package that binds it.
@@ -80,10 +80,7 @@ class SignTriple:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not (_is_integer(value) and value in (-1, 1)):
-                raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-            if type(value) is not int:   # a numpy integer goes no further
-                object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(name, value, (1, -1)))
 
     @property
     def label(self) -> str:

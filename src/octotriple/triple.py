@@ -54,6 +54,7 @@ from .core import (
     _multiply,
     _norm,
     _norm_sq,
+    _real_matrix,
 )
 # `multiply` stays bound in this module as it was before the array forms: the
 # benchmark's call tracer (perfbench/tracer.py) wraps it in every module of the
@@ -198,15 +199,9 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _check_3x3(arr: np.ndarray) -> np.ndarray:
-    if arr.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
-    return arr
-
-
 def det3(entries: np.ndarray) -> float:
     """Determinant of a 3x3 matrix by cofactor expansion along the first row."""
-    return float(_det3(_check_3x3(np.asarray(entries, dtype=np.float64))))
+    return float(_det3(_real_matrix(entries, 3).astype(np.float64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +211,7 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _check_3x3(np.array(self.entries, dtype=np.float64))
+        arr = _real_matrix(self.entries, 3).astype(np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

@@ -65,12 +65,12 @@ from .core import (
     DEFAULT_TOLERANCE,
     Hyper,
     Tolerance,
+    _as_int,
     _block_memo,
     _check_dim,
     _conjugate,
     _imaginary_part,
     _inner,
-    _is_integer,
     _json_float,
     _multiply,
     _norm,
@@ -106,6 +106,8 @@ class RunConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.trials > 1 << 32:   # a trial index is one 32-bit half of a Philox key word
             raise ValueError(f"trials must be <= 2^32, got {self.trials}")
+        if not isinstance(self.tolerance, Tolerance):   # a suite reads its rel and abs
+            raise ValueError(f"tolerance must be a Tolerance, got {self.tolerance!r}")
         dims = tuple(self.dims)
         if not dims:
             raise ValueError("dims must not be empty")
@@ -204,13 +206,6 @@ def _largest(size: Callable, diffs):
     if isinstance(diffs, tuple):
         return functools.reduce(np.maximum, map(size, diffs))
     return size(diffs)
-
-
-def _as_int(name: str, value) -> int:
-    """value as a Python int: a numpy integer is read as its int, a bool or a float refused."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _trial_key(seed: int, suite_index: int, trial_index: int) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,10 @@ from octotriple.core import (
     spacetime_interval,
     unit,
 )
+from octotriple.hadamard import RowPermutation, SignMatrix, build
+from octotriple.operators import OpWord, SignTriple, TripleOperator, component2
+from octotriple.triple import GramMatrix, det3
+from octotriple.verify import RunConfig, trial_generator
 
 from cd_oracle import basis_table, omul, ovec
 
@@ -241,6 +247,76 @@ def test_a_bool_is_no_scalar_operand(scalar):
 def test_division_by_zero_raises_as_float_division_does(zero):
     with pytest.raises(ZeroDivisionError):
         Hyper.basis(4, 1) / zero
+
+
+# -- the argument policy of every entry point ----------------------------------
+
+
+# entry point:argument -> (the value it stores of v, the start of the ValueError that refuses
+# v, values it refuses, numpy values it accepts, the Python type it stores them as).  True == 1
+# and 4.0 == 4, so a membership or range test alone would keep them, and a numpy cast counts
+# bools and parses text.
+ARGUMENTS = {
+    "unit:dim": (lambda v: unit(v).dim, "dimension must be one of",
+                 (0, 3, 5, 16, -1, True, 4.0, "4"), (np.int64(4), np.uint8(4)), int),
+    "Hyper.basis:index": (lambda v: Hyper.basis(4, v).coeffs.tolist().index(1.0),
+                          "basis index must be an integer",
+                          (True, False, 1.0, np.float64(2.0), "1", -1, 4),
+                          (np.int64(2), np.uint8(1)), int),
+    "Hyper:coeffs": (lambda v: Hyper(2, [v, 0.0]).coeffs.tolist()[0],
+                     "coeffs[0] must be a real number", ("1", True, b"1", 1 + 2j, None),
+                     (np.float32(0.25), np.int64(3), Fraction(1, 2)), float),
+    "Tolerance:rel": (lambda v: Tolerance(rel=v).rel, "rel tolerance must be a real number",
+                      (True, "1e-9"), (1, np.float32(0.5)), float),
+    "Tolerance:abs": (lambda v: Tolerance(abs=v).abs, "abs tolerance must be a real number",
+                      (False, np.bool_(True), None), (0, np.float32(0.5)), float),
+    "build:order": (lambda v: build(v).n, "order must be one of",
+                    (1, 3, 6, 16, 2.0, 4.0, np.float64(8.0), True, "4"), (np.int64(4),), int),
+    "SignMatrix:n": (lambda v: SignMatrix(v, np.ones((4, 4))).n, "order must be one of",
+                     (4.0, True, 3), (np.int32(4),), int),
+    "RowPermutation:map": (lambda v: RowPermutation((v, 0)).map[0], "not a permutation of 0..1",
+                           (True, 1.0, np.float64(1.0), "1"), (np.int64(1),), int),
+    **{f"SignTriple:{name}": (lambda v, i=i: astuple(SignTriple(*[1] * i, v, *[1] * (2 - i)))[i],
+                              f"{name} must be one of (1, -1)", (True, np.True_, 1.0, -1.0, 0, 2),
+                              (np.int64(1), np.int8(-1)), int)
+       for i, name in enumerate(("eps_plus", "eps_star", "eps_vee"))},
+    "component2:eps_plus": (lambda v: component2(TripleOperator(unit(4), unit(4)), v, 1, unit(4)),
+                            "eps_plus must be one of (1, -1)", (True, 1.0, 0), (), None),
+    **{f"OpWord:{name}": (lambda v, name=name: vars(OpWord(**{name: v}))[name],
+                          f"{name} must be a bool", (2, 1, "yes", None), (np.True_,), bool)
+       for name in ("plus", "star", "vee")},
+    **{f"{name}:entries": (lambda v, det=det: det([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                           "entries[0, 0] must be a real number",
+                           (True, np.True_, "1", b"2", None, 1j), (np.float32(2), np.int64(2)),
+                           float)
+       for name, det in (("det3", det3), ("GramMatrix", lambda m: GramMatrix(m).det()))},
+    **{f"trial_generator:{name}": (lambda v, i=i: trial_generator(*[0] * i, v, *[0] * (2 - i)),
+                                   f"{name} must be an integer", (True, np.True_, 42.0, "7"), (),
+                                   None)
+       for i, name in enumerate(("seed", "suite_index", "trial_index"))},
+    "RunConfig:seed": (lambda v: RunConfig(seed=v).seed, "seed must be an integer",
+                       (1.5, True, "1"), (np.int64(3), np.uint64(3)), int),
+    "RunConfig:trials": (lambda v: RunConfig(trials=v).trials, "trials must be an integer",
+                         (2.5, True), (np.int32(3),), int),
+    "RunConfig:dims": (lambda v: RunConfig(dims=(v,)).dims[0], "dimension must be one of",
+                       (4.0, True, 3), (np.int64(4), np.uint8(8)), int),
+    # a float tolerance passed the hadamard suite and broke every per-trial one
+    "RunConfig:tolerance": (lambda v: RunConfig(tolerance=v).tolerance,
+                            "tolerance must be a Tolerance", (1e-9, None), (), None),
+}
+
+
+@pytest.mark.parametrize("stored, error, refused, accepted, stores", ARGUMENTS.values(),
+                         ids=list(ARGUMENTS))
+def test_every_entry_point_checks_its_arguments(stored, error, refused, accepted, stores):
+    # each refused value raises an error that names the argument; each accepted one is
+    # stored as the Python number it equals
+    for value in refused:
+        with pytest.raises(ValueError, match="^" + re.escape(error)):
+            stored(value)
+    for value in accepted:
+        got = stored(value)
+        assert type(got) is stores and got == value, value
 
 
 # -- multiplication against the exact oracle ----------------------------------

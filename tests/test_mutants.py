@@ -52,17 +52,11 @@ def _flipped_tables(dim, i, k):
 
 
 @pytest.mark.parametrize("dim", core.VALID_DIMS)
-def test_core_suite_catches_every_sign_flip(dim, monkeypatch):
-    config = RunConfig(seed=1, trials=4, dims=(dim,))
-    assert all(r.passed for r in run_all(config, suites=("core",)))
-    missed = []
-    for i in range(dim):
-        for k in range(dim):
-            with monkeypatch.context() as m:
-                m.setattr(core, "_product_tables", _flipped_tables(dim, i, k))
-                if all(r.passed for r in run_all(config, suites=("core",))):
-                    missed.append((i, k))
-    assert missed == []
+def test_core_suite_catches_every_sign_flip(dim):
+    clean, mutants = _mutant_maxima(dim)
+    assert not _fails(clean)
+    assert [key for key, maxima in mutants.items()
+            if key[0] == "sign" and not _fails(maxima, "core:")] == []
 
 
 def _plan_mutants(dim):
@@ -76,16 +70,10 @@ def _plan_mutants(dim):
 
 
 @pytest.mark.parametrize("dim", (2, 4, 8))
-def test_per_trial_suites_catch_every_plan_mutant(dim, monkeypatch):
-    config = RunConfig(seed=1, trials=4, dims=(dim,))
-    assert all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES))
-    missed = []
-    for word, mutant in _plan_mutants(dim):
-        with monkeypatch.context() as m:
-            m.setitem(operators._PLANS, word, mutant)
-            if all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES)):
-                missed.append((word.label, mutant))
-    assert missed == []
+def test_per_trial_suites_catch_every_plan_mutant(dim):
+    clean, mutants = _mutant_maxima(dim)
+    assert not _fails(clean)
+    assert [key for key, maxima in mutants.items() if key[0] == "plan" and not _fails(maxima)] == []
 
 
 _EPS_STAR_VEE = np.array([[s.eps_star for s in operators.ALL_SIGN_TRIPLES],
@@ -150,6 +138,8 @@ def test_the_unflipped_butterfly_is_the_transform():
                                                 (2, (4, 8))),
                          ids=("stage0", "stage1", "stage2"))
 def test_per_trial_suites_catch_every_butterfly_flip(stage, caught_dims, monkeypatch):
+    for dim in core.VALID_DIMS:
+        assert _fails(_mutant_maxima(dim)[1]["butterfly", stage]) == (dim in caught_dims), dim
     mutant = _flipped_butterfly(stage)
     seen = []
 
@@ -160,34 +150,33 @@ def test_per_trial_suites_catch_every_butterfly_flip(stage, caught_dims, monkeyp
     # operators binds the transform by name; hadamard is patched for any other caller
     monkeypatch.setattr(hadamard, "transform", recording)
     monkeypatch.setattr(operators, "transform", recording)
-    for dim in core.VALID_DIMS:
+    for dim in sorted(set(core.VALID_DIMS) - set(caught_dims)):
+        # an equivalent mutant: every row it changes is a few units in the
+        # last place of the largest word value it transforms
         seen.clear()
-        config = RunConfig(seed=1, trials=4, dims=(dim,))
-        passed = all(r.passed for r in run_all(config, suites=PER_TRIAL_SUITES))
-        assert passed == (dim not in caught_dims), dim
-        if passed:
-            # an equivalent mutant: every row it changes is a few units in the
-            # last place of the largest word value it transforms
-            assert seen
-            for values in seen:
-                want = _flipped_butterfly(-1)(values)
-                changed = mutant(values) != want
-                bound = 4 * np.finfo(float).eps * np.max(np.abs(values))
-                assert np.all(np.abs(want[changed]) <= bound)
+        run_all(RunConfig(seed=1, trials=4, dims=(dim,)), suites=PER_TRIAL_SUITES)
+        assert seen
+        for values in seen:
+            want = _flipped_butterfly(-1)(values)
+            changed = mutant(values) != want
+            bound = 4 * np.finfo(float).eps * np.max(np.abs(values))
+            assert np.all(np.abs(want[changed]) <= bound)
 
 
 def _mutants(dim):
-    """Every mutant above at dim, as the monkeypatch calls that apply it."""
+    """Every mutant above at dim, keyed by its class and place, as the monkeypatch calls
+    that apply it."""
     for i in range(dim):
         for k in range(dim):
-            yield (("setattr", core, "_product_tables", _flipped_tables(dim, i, k)),)
-    for word, mutant in _plan_mutants(dim):
-        yield (("setitem", operators._PLANS, word, mutant),)
+            yield ("sign", i, k), (("setattr", core, "_product_tables", _flipped_tables(dim, i, k)),)
+    if dim > 1:   # conjugation is the identity at dim 1, so every bar mutant is equivalent
+        for word, mutant in _plan_mutants(dim):
+            yield ("plan", word.label, mutant), (("setitem", operators._PLANS, word, mutant),)
     for stage in range(3):
         mutant = _flipped_butterfly(stage)
         # operators binds the transform by name; hadamard is patched for any other caller
-        yield (("setattr", hadamard, "transform", mutant),
-               ("setattr", operators, "transform", mutant))
+        yield ("butterfly", stage), (("setattr", hadamard, "transform", mutant),
+                                     ("setattr", operators, "transform", mutant))
 
 
 # the counted channels that no mutant moves off 0.0, and those that none fails
@@ -202,33 +191,40 @@ def _counted_channels(config):
 
 
 @functools.cache
-def _mutant_reach():
-    """(every counted channel at dims 4 and 8, those some mutant moves off 0.0, those
-    some mutant pushes above the tolerance)."""
-    every, moved, failed = set(), set(), set()
-    for dim in (4, 8):
-        config = RunConfig(seed=1, trials=4, dims=(dim,))
-        every |= set(_counted_channels(config))
-        for patches in _mutants(dim):
-            with pytest.MonkeyPatch.context() as m:
-                for method, target, key, value in patches:
-                    getattr(m, method)(target, key, value)
-                maxima = _counted_channels(config)
-            moved |= {k for k, v in maxima.items() if v != 0.0}
-            failed |= {k for k, v in maxima.items() if v > config.tolerance.rel}
-    return every, moved, failed
+def _mutant_maxima(dim):
+    """(the counted maxima of the per-trial suites at dim, and for each key of `_mutants`
+    those maxima under that mutant): one run each, which every catch and reach test reads."""
+    config = RunConfig(seed=1, trials=4, dims=(dim,))
+    clean, mutants = _counted_channels(config), {}
+    for key, patches in _mutants(dim):
+        with pytest.MonkeyPatch.context() as m:
+            for method, target, name, value in patches:
+                getattr(m, method)(target, name, value)
+            mutants[key] = _counted_channels(config)
+    return clean, mutants
+
+
+def _fails(maxima, prefix=""):
+    """Whether a counted channel whose name starts with prefix is above the tolerance."""
+    return any(v > core.DEFAULT_TOLERANCE.rel for k, v in maxima.items() if k.startswith(prefix))
+
+
+def _unreached(reached):
+    """The counted channels at dims 4 and 8 whose maximum no mutant makes `reached`."""
+    runs = [_mutant_maxima(dim) for dim in (4, 8)]
+    return {k for clean, _ in runs for k in clean} - {
+        k for _, mutants in runs for maxima in mutants.values()
+        for k, v in maxima.items() if reached(v)}
 
 
 def test_no_counted_channel_but_five_is_zero_under_every_mutant():
-    every, moved, _ = _mutant_reach()
-    assert every - moved == _UNMOVED
+    assert _unreached(lambda v: v != 0.0) == _UNMOVED
 
 
 def test_every_counted_channel_but_nine_fails_under_some_mutant():
     # a channel that only rounding moves, as a sum of closed forms over shared terms
     # would be, checks nothing these mutants break
-    every, _, failed = _mutant_reach()
-    assert every - failed == _UNFAILED
+    assert _unreached(lambda v: v > core.DEFAULT_TOLERANCE.rel) == _UNFAILED
 
 
 _LENGTHS = (triple.anticommutator3_norm_sq, triple.commutator3_norm_sq,

@@ -27,15 +27,10 @@ from octotriple.triple import (
     _det3,
     anticommutative_component_norm_sq,
     anticommutator3,
-    anticommutator3_alt,
-    anticommutator3_closed,
     anticommutator3_norm_sq,
     associator3,
-    associator3_alt,
     associator3_norm_sq,
     commutator3,
-    commutator3_alt,
-    commutator3_closed,
     commutator3_norm_sq,
     cross2,
     decompose_triple,
@@ -203,15 +198,6 @@ def test_decomposition_is_sylvester_matrix_of_word_values():
         for got, want in ((d.anti, rows[0]), (d.assoc, rows[1]), (d.comm, rows[3])):
             vec_close(got, Hyper(dim, want), s)
         assert np.linalg.norm(rows[2]) <= 1e-12 + 1e-9 * s
-
-
-def test_triple_dimension_mismatch_in_every_part():
-    for part in (anticommutator3, anticommutator3_alt, associator3, associator3_alt,
-                 commutator3, commutator3_alt, anticommutator3_closed, commutator3_closed):
-        for args in ((unit(4), unit(8), unit(8)), (unit(8), unit(4), unit(8)),
-                     (unit(8), unit(8), unit(4))):
-            with pytest.raises(DimensionError):
-                part(*args)
 
 
 def test_decomposition_serialization():
