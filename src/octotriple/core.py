@@ -65,16 +65,20 @@ def _as_int(name: str, value, allowed: tuple | None = None, error: type = ValueE
 
 
 def _as_real(name: str, value) -> float:
-    """value as a Python float, if it is a real number; a bool or text raises ValueError."""
+    """value as a Python float, if it is a real number in the float range; a bool, text or an
+    integer beyond the float range raises ValueError."""
     if not _is_real(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+        raise ValueError(f"{name} must be a real number, got {value!r} (not bools or text)")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number in the float range") from None
 
 
 def _real_matrix(entries, n: int) -> np.ndarray:
     """entries as an n x n array: a float or int ndarray as it is, anything else as an
-    object array of real numbers checked one by one, as a cast counts bools, parses text
-    and reads None as NaN."""
+    object array of real numbers in the float range checked one by one, as a cast counts
+    bools, parses text and reads None as NaN."""
     arr = entries
     if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
         arr = np.array(arr, dtype=object)
@@ -82,9 +86,7 @@ def _real_matrix(entries, n: int) -> np.ndarray:
         raise ValueError(f"entries must be a {n}x{n} matrix, got shape {arr.shape}")
     if arr.dtype == object:
         for (i, j), x in np.ndenumerate(arr):
-            if not _is_real(x):
-                raise ValueError(f"entries[{i}, {j}] must be a real number, got {x!r} "
-                                 "(not bools or text)")
+            _as_real(f"entries[{i}, {j}]", x)
     return arr
 
 

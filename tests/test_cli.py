@@ -570,14 +570,6 @@ def test_operator_details_report_vanishing_components():
     assert "(+1,+1,+1)" not in vanished
 
 
-def test_hadamard_details_report_exploratory_count():
-    config = RunConfig(seed=7, trials=1, dims=(8,))
-    (rep,) = run_all(config, suites=("hadamard",))
-    channels = rep.details["channels"]
-    assert channels["info:column_set_preserving_count_order4"] == 6
-    assert channels["info:column_set_preserving_count_order8"] == 168
-
-
 def test_every_report_has_its_channels_as_its_only_details():
     # a report reaches its reader through channels alone; info: channels never gate
     reports = run_all(RunConfig(seed=7, trials=10, dims=(1, 2, 4, 8)))

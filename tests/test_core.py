@@ -1,4 +1,3 @@
-import json
 import math
 import re
 from dataclasses import astuple
@@ -249,11 +248,20 @@ def test_division_by_zero_raises_as_float_division_does(zero):
         Hyper.basis(4, 1) / zero
 
 
+@pytest.mark.parametrize("op", (lambda x, y: x * y, lambda x, y: y * x, lambda x, y: x / y),
+                         ids=("mul", "rmul", "truediv"))
+def test_a_scalar_beyond_the_float_range_overflows_as_float_arithmetic_does(op):
+    with pytest.raises(OverflowError):
+        op(1.0, 10**400)
+    with pytest.raises(OverflowError):
+        op(Hyper.basis(4, 1), 10**400)
+
+
 # -- the argument policy of every entry point ----------------------------------
 
 
 # entry point:argument -> (the value it stores of v, the start of the ValueError that refuses
-# v, values it refuses, numpy values it accepts, the Python type it stores them as).  True == 1
+# v, values it refuses, values it accepts, the Python type it stores them as).  True == 1
 # and 4.0 == 4, so a membership or range test alone would keep them, and a numpy cast counts
 # bools and parses text.
 ARGUMENTS = {
@@ -264,35 +272,41 @@ ARGUMENTS = {
                           (True, False, 1.0, np.float64(2.0), "1", -1, 4),
                           (np.int64(2), np.uint8(1)), int),
     "Hyper:coeffs": (lambda v: Hyper(2, [v, 0.0]).coeffs.tolist()[0],
-                     "coeffs[0] must be a real number", ("1", True, b"1", 1 + 2j, None),
-                     (np.float32(0.25), np.int64(3), Fraction(1, 2)), float),
+                     "coeffs[0] must be a real number",
+                     ("1", "2e3", True, False, b"1", b"2", 1 + 2j, None),
+                     (np.float32(0.25), np.int64(3), Fraction(1, 2), 0), float),
     "Tolerance:rel": (lambda v: Tolerance(rel=v).rel, "rel tolerance must be a real number",
-                      (True, "1e-9"), (1, np.float32(0.5)), float),
+                      (True, "1e-9", 10**400), (1, np.float32(0.5)), float),
     "Tolerance:abs": (lambda v: Tolerance(abs=v).abs, "abs tolerance must be a real number",
-                      (False, np.bool_(True), None), (0, np.float32(0.5)), float),
+                      (False, np.bool_(True), None, 10**400), (0, np.float32(0.5)), float),
     "build:order": (lambda v: build(v).n, "order must be one of",
                     (1, 3, 6, 16, 2.0, 4.0, np.float64(8.0), True, "4"), (np.int64(4),), int),
     "SignMatrix:n": (lambda v: SignMatrix(v, np.ones((4, 4))).n, "order must be one of",
                      (4.0, True, 3), (np.int32(4),), int),
-    "RowPermutation:map": (lambda v: RowPermutation((v, 0)).map[0], "not a permutation of 0..1",
-                           (True, 1.0, np.float64(1.0), "1"), (np.int64(1),), int),
+    # v is the source of row 0, or of row 1 where it is 0
+    "RowPermutation:map": (lambda v: RowPermutation((v, 0) if v else (1, v)).map[0 if v else 1],
+                           "not a permutation of 0..1", (True, 1.0, np.float64(1.0), "1"),
+                           (np.int64(1), np.int64(0)), int),
     **{f"SignTriple:{name}": (lambda v, i=i: astuple(SignTriple(*[1] * i, v, *[1] * (2 - i)))[i],
                               f"{name} must be one of (1, -1)", (True, np.True_, 1.0, -1.0, 0, 2),
-                              (np.int64(1), np.int8(-1)), int)
+                              (np.int64(1), np.int8(-1), np.uint8(1)), int)
        for i, name in enumerate(("eps_plus", "eps_star", "eps_vee"))},
-    "component2:eps_plus": (lambda v: component2(TripleOperator(unit(4), unit(4)), v, 1, unit(4)),
-                            "eps_plus must be one of (1, -1)", (True, 1.0, 0), (), None),
+    **{f"component2:{name}": (lambda v, i=i: component2(TripleOperator(unit(4), unit(4)),
+                                                        *[1] * i, v, *[1] * (1 - i), unit(4)),
+                              f"{name} must be one of (1, -1)", (True, np.True_, 1.0, -1.0, 0),
+                              (), None)
+       for i, name in enumerate(("eps_plus", "eps_star"))},
     **{f"OpWord:{name}": (lambda v, name=name: vars(OpWord(**{name: v}))[name],
                           f"{name} must be a bool", (2, 1, "yes", None), (np.True_,), bool)
        for name in ("plus", "star", "vee")},
     **{f"{name}:entries": (lambda v, det=det: det([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
                            "entries[0, 0] must be a real number",
-                           (True, np.True_, "1", b"2", None, 1j), (np.float32(2), np.int64(2)),
-                           float)
+                           (True, np.True_, "1", b"2", None, 1j, 10**400),
+                           (np.float32(2), np.int64(2)), float)
        for name, det in (("det3", det3), ("GramMatrix", lambda m: GramMatrix(m).det()))},
     **{f"trial_generator:{name}": (lambda v, i=i: trial_generator(*[0] * i, v, *[0] * (2 - i)),
-                                   f"{name} must be an integer", (True, np.True_, 42.0, "7"), (),
-                                   None)
+                                   f"{name} must be an integer", (True, np.True_, 42.0, 1.0, "7"),
+                                   (), None)
        for i, name in enumerate(("seed", "suite_index", "trial_index"))},
     "RunConfig:seed": (lambda v: RunConfig(seed=v).seed, "seed must be an integer",
                        (1.5, True, "1"), (np.int64(3), np.uint64(3)), int),

@@ -191,15 +191,6 @@ def test_derivation_rejects_a_rewrite_that_does_not_commute(monkeypatch):
         operators._derive_plans()
 
 
-def test_double_application_of_each_involution_is_identity():
-    op = random_op(8)
-    u = rand(8)
-    s = norm(op.u1) * norm(op.u2) * norm(u)
-    for gen in (OpWord(plus=True), OpWord(star=True), OpWord(vee=True)):
-        same = apply(op, gen.compose(gen), u)
-        vec_close(same, apply(op, IDENTITY_WORD, u), s)
-
-
 # -- Hermitian structure ------------------------------------------------------------
 
 
