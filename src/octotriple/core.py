@@ -387,7 +387,7 @@ def _norm(x: np.ndarray) -> np.ndarray:
 def _imaginary_part(x: np.ndarray) -> np.ndarray:
     """u with its real component annulled: u - (u, i0) i0."""
     out = x.copy()
-    out[..., 0] = 0.0
+    out[..., 0] -= x[..., 0]   # +0.0 for every finite float, and exact for exact types
     return out
 
 

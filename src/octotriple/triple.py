@@ -171,18 +171,18 @@ class TripleDecomposition:
 
 
 def _decompose_triple(u1, u, u2):
-    """(anti, comm, assoc, residual): rows 0, 3, 1 of the transform of the
-    four two-op word values, and the norm of what they leave of (u1 ub) u2."""
+    """(anti, comm, assoc, leftover): rows 0, 3, 1 of the transform of the
+    four two-op word values, and what they leave of (u1 ub) u2."""
     values = _word_values(u1, u2, u, TWO_OP_WORDS)
     anti, assoc, _, comm = _components(values)
-    return anti, comm, assoc, _norm(values[0] - (anti + comm + assoc))
+    return anti, comm, assoc, values[0] - (anti + comm + assoc)
 
 
 def decompose_triple(u1: Hyper, u: Hyper, u2: Hyper) -> TripleDecomposition:
     """Split (u1 conj(u)) u2 into anticommutator + commutator + associator."""
-    anti, comm, assoc, residual = _decompose_triple(*_coeffs(u1, u, u2))
+    anti, comm, assoc, leftover = _decompose_triple(*_coeffs(u1, u, u2))
     return TripleDecomposition(anti=Hyper._wrap(u1.dim, anti), comm=Hyper._wrap(u1.dim, comm),
-                               assoc=Hyper._wrap(u1.dim, assoc), residual=float(residual))
+                               assoc=Hyper._wrap(u1.dim, assoc), residual=float(_norm(leftover)))
 
 
 # -- Gram matrices and length formulas --------------------------------------

@@ -26,19 +26,19 @@ public Hyper API, into the same channels, in the decomposition, lengths and
 bridge suites and for the operator's `component3_public_api`; the public
 wrappers themselves are pinned to the array forms in tests/test_array_forms.py.
 
-Every suite is one body, `body(draws, ch)`, a plain function of its draws: the
-dimension is the draws' width and i0 a basis row of that width, so a body runs
-at any doubling width without a checked `Hyper` (tests/test_mutants.py runs the
-sedenions, dim 16, as a control).  A suite that draws nothing (hadamard) checks
-fixed objects exactly: its body runs once, on draws (), and reports dim 8.
+Every suite is one body, `body(draws, ch)`, a plain function of its draws: the dimension
+is the draws' width and i0 a basis row of that width, so a body runs at any doubling width
+and on any exact number type without a checked `Hyper` (tests/test_mutants.py runs the
+sedenions, dim 16, as a control, and tests/test_exact.py exact rationals).  A suite that
+draws nothing (hadamard) checks fixed objects exactly: it runs once, on (), at dim 8.
 
 A suite hands `Channels` the differences each identity says vanish and builds its scales
 from the argument norms `Channels.norms` gives (vector identities scale by their product,
-inner products and norms by its square); it takes a size itself only where the library's
-output is one (`stored_residual`, the bridge residuals) and in `gram_positive_semidefinite`,
-max(0, -det).  The size r (the norm of a vector, the abs of a scalar) at scale s counts as
-r / (f * (s + abs/rel)), f the factor (10 for the degree-six length formulas, else 1); a
-suite passes when the maximum is at most rel, and a non-finite residual counts as infinite.
+inner products and norms by its square); it takes a size itself only in the inequality
+`gram_positive_semidefinite`, max(0, -det).  The size r (a vector's norm, a scalar's abs)
+at scale s counts as r / (f * (s + abs/rel)), f the factor (10 for the degree-six length
+formulas, else 1); a suite passes when the maximum is at most rel, and a non-finite
+residual counts as infinite.
 A report's details are its channels alone; what a suite reports but never gates on is an
 "info:" channel, such as the operator's three-operation component norms (a component
 vanishes where its channel is at most rel) and the hadamard column-preserving counts.
@@ -171,9 +171,9 @@ class Channels:
     def add(self, name: str, diffs, scale, factor: float = 1.0) -> None:
         """Record the largest |diff| / (factor * (scale + abs/rel)).
 
-        diffs is a term or a tuple of terms, scalar differences or sizes
-        already taken, that broadcast with scale, typically one entry per
-        trial.  A NaN anywhere propagates to the maximum and records as inf.
+        diffs is a term or a tuple of terms, scalar differences or sizes already taken
+        (in a body, only `gram_positive_semidefinite`'s), that broadcast with scale,
+        typically one entry per trial.  A NaN propagates to the maximum and records as inf.
         """
         self._record_sizes(name, _largest(np.abs, diffs), scale, factor)
 
@@ -299,7 +299,7 @@ def _decomposition_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     i0 = _unit_row(dim)
     ub = _conjugate(u)
 
-    anti, comm, assoc, residual = tp._decompose_triple(u1, u, u2)
+    anti, comm, assoc, leftover = tp._decompose_triple(u1, u, u2)
     # the operation forms, each evaluated once and compared by several channels
     comm_op, assoc_op = tp._commutator3(u1, u, u2), tp._associator3(u1, u, u2)
     # the four bracket/order variants, by hand, are the inverse transform of the parts
@@ -307,7 +307,7 @@ def _decomposition_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
                          _multiply(u2, _multiply(ub, u1)), _multiply(u1, _multiply(ub, u2))))
     parts = np.stack((anti, assoc, np.zeros_like(anti), comm))
     ch.add_norm("reconstruction", hd.transform(parts) - variants, s)
-    ch.add("stored_residual", residual, s)
+    ch.add_norm("stored_residual", leftover, s)
     ch.add_norm("parts_match_operations",
                 (anti - tp._anticommutator3(u1, u, u2), comm - comm_op, assoc - assoc_op), s)
 
@@ -565,10 +565,10 @@ def _bridge_suite(draws: tuple[np.ndarray, ...], ch: Channels) -> None:
     s = n1 * nu * n2
     si = np.maximum(i1 * iu * i2, 1e-30)   # live: at dim 1 it is 0, and 0/0 records inf
 
-    ch.add("okubo_reconstruction", br._okubo_reconstruction_residual(u1, u, u2), s)
-    ch.add("okubo_bracket_display", br._okubo_bracket_display_residual(u1, u, u2), s)
-    ch.add("dray_manogue_decomposition", br._dray_manogue_residual(u1, u, u2), s)
-    ch.add("bac_cab", br._bac_cab_residual(u1, u, u2), si)
+    ch.add_norm("okubo_reconstruction", br._okubo_reconstruction_difference(u1, u, u2), s)
+    ch.add_norm("okubo_bracket_display", br._okubo_bracket_display_difference(u1, u, u2), s)
+    ch.add_norm("dray_manogue_decomposition", br._dray_manogue_difference(u1, u, u2), s)
+    ch.add_norm("bac_cab", br._bac_cab_difference(u1, u, u2), si)
 
 
 def _bridge_public(row: tuple[np.ndarray, ...], ch: Channels) -> None:

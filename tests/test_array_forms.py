@@ -3,10 +3,13 @@ dimension check and result type that `core._lift` adds around it.
 
 This module is the one home of the wrapper checks.  The verify suites call
 the array forms on (trials, dim) blocks; the public functions call them on
-single vectors.  Verify runs trial 0 through the public API only where the
-benchmark's call tracer still times the public functions (the
-decomposition, lengths and bridge suites) and for `component3_public_api`,
-the first operator component against the mean of the eight `apply` values.
+single vectors.  A public bridge `*_residual` and `decompose_triple`'s residual
+are the norm of a difference that the array form returns, so each is pinned
+against `core._norm` of that difference.  Verify runs trial 0 through the
+public API only where the benchmark's call tracer still times the public
+functions (the decomposition, lengths and bridge suites) and for
+`component3_public_api`, the first operator component against the mean of
+the eight `apply` values.
 Block rows may differ from the single-vector result in the last bits (a
 batched matmul sums in its own order), so rows are compared within a bound
 set from float64 epsilon and the function's degree in its arguments.
@@ -22,6 +25,12 @@ RNG = np.random.default_rng(5150)
 ROWS = 16
 # |error| <= 64 eps * (product of argument norms)^power
 BOUND = 64 * np.finfo(float).eps
+
+
+def _norm_of(difference):
+    """The array form of a public `*_residual`: `core._norm` of its `_*_difference`."""
+    return lambda *blocks: core._norm(difference(*blocks))
+
 
 # (public function, its array form, arguments, degree of the result in the
 # product of argument norms)
@@ -43,8 +52,10 @@ CASES = [
         "anticommutator3_norm_sq", "commutator3_norm_sq", "associator3_norm_sq",
         "anticommutative_component_norm_sq")),
     *((getattr(bridge, name), getattr(bridge, "_" + name), 3, 1) for name in (
-        "bac_cab_residual", "okubo_reconstruction_residual", "okubo_bracket",
-        "okubo_bracket_display_residual", "dray_manogue_cross", "dray_manogue_residual")),
+        "okubo_bracket", "dray_manogue_cross")),
+    *((getattr(bridge, name + "_residual"), _norm_of(getattr(bridge, f"_{name}_difference")),
+       3, 1) for name in ("bac_cab", "okubo_reconstruction", "okubo_bracket_display",
+                          "dray_manogue")),
 ]
 
 
@@ -83,7 +94,8 @@ def test_public_function_checks_dimensions_and_wraps_the_result(public, array_fo
 @pytest.mark.parametrize("dim", (4, 8))
 def test_block_rows_match_decompose_gram_and_operators(dim):
     u1, u, u2, v = RNG.standard_normal((4, ROWS, dim))
-    anti, comm, assoc, residual = triple._decompose_triple(u1, u, u2)
+    anti, comm, assoc, leftover = triple._decompose_triple(u1, u, u2)
+    residual = core._norm(leftover)
     lhs, rhs = triple._gram_det_imaginary_identity(u1, u, u2)
     grams = triple._gram(u1, u, u2), triple._gram_imaginary(u1, u, u2)
     plus = operators._eigen_residuals(operators._components(operators._word_values(u1, u2, u)),

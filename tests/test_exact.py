@@ -1,0 +1,139 @@
+"""Every counted per-trial identity, proved a polynomial identity by exact evaluation.
+
+Each per-trial suite body is a polynomial program: it hands `Channels` differences
+whose entries are polynomials in the coefficients of its draws, built from sums,
+products, conjugates and divisions by the constants 2, 4 and 8.  None has total
+degree above D = 6 (the length formulas, of degree 2 in each of three arguments).
+By DeMillo and Lipton (IPL 7(4), 1978), Schwartz (JACM 27(4), 1980) and Zippel
+(EUROSAM 1979), a nonzero polynomial of total degree at most D vanishes at a point
+drawn uniformly from S^n with probability at most D / |S|.  Here S is the 2^63
+integers in [-2^62, 2^62), so a channel that reads exactly 0 on r independent rows
+is the zero polynomial, except with probability at most (6 / 2^63)^r: below 5e-37
+at the two rows drawn at dims 1, 2, 4 and 8.
+
+The bodies run as they are, inside `core._block_memo()`, on object blocks of the
+exact type `Q`, through a recorder that keeps, per channel, whether a term is not
+exactly 0 and the types of its entries.  A float entry would mean an exact product
+was rounded somewhere, so none may occur.  `gram_positive_semidefinite` is an
+inequality, not an identity, and is skipped.  At dim 16, the sedenions, the nonzero
+channels must be exactly the `fails_at_16` rows of `verify.CHANNELS`; each is an
+exact certificate, with no tolerance in it.  The float control in
+tests/test_mutants.py also pins the gate's margins there, which this run does not.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from octotriple.core import DEFAULT_TOLERANCE, _block_memo
+from octotriple.verify import _SUITES, CHANNELS, Channels, RunConfig, _draw_block
+
+PER_TRIAL_SUITES = tuple(s for s in _SUITES if s.random)
+SKIPPED = "gram_positive_semidefinite"   # max(0, -det): an inequality
+
+
+def _ratio(x):
+    """x's numerator and denominator, exactly; a float's by `as_integer_ratio`."""
+    return x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator)
+
+
+class Q(Fraction):
+    """A Fraction that stays one.  A float operand, such as an entry of the float64
+    sign table or a literal, converts exactly, where a plain Fraction would round
+    itself to a float; each result is built once, from its numerator and denominator.
+    An operation it does not define falls back to Fraction's, whose result the
+    recorder's type check refuses."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        n, d = _ratio(b)
+        return Q(a.numerator * d + n * a.denominator, a.denominator * d)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        n, d = _ratio(b)
+        return Q(a.numerator * d - n * a.denominator, a.denominator * d)
+
+    def __rsub__(a, b):
+        n, d = _ratio(b)
+        return Q(n * a.denominator - a.numerator * d, a.denominator * d)
+
+    def __mul__(a, b):
+        n, d = _ratio(b)
+        return Q(a.numerator * n, a.denominator * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        n, d = _ratio(b)
+        return Q(a.numerator * d, a.denominator * n)
+
+    def __neg__(a):
+        return Q(-a.numerator, a.denominator)
+
+
+class ExactChannels(Channels):
+    """Per channel, whether some term is not exactly 0, and the types of the entries.
+
+    Its norms are ones, so a body's scales are too, and no size is ever taken."""
+
+    def __init__(self):
+        super().__init__(DEFAULT_TOLERANCE)
+        self.nonzero: dict[str, bool] = {}
+        self.types: dict[str, set] = {}
+
+    def norms(self, *blocks) -> tuple:
+        return tuple(np.ones(b.shape[:-1]) for b in blocks)
+
+    def add(self, name, diffs, scale=None, factor=1.0) -> None:
+        if name.startswith("info:") or name == SKIPPED:
+            return
+        for term in diffs if isinstance(diffs, tuple) else (diffs,):
+            entries = np.asarray(term, dtype=object).ravel().tolist()
+            self.types.setdefault(name, set()).update(map(type, entries))
+            self.nonzero[name] = self.nonzero.get(name, False) or any(x != 0 for x in entries)
+
+    add_norm = add
+
+
+def _exact_draws(suite, dim, rows, seed):
+    """suite's blocks as read-only object arrays of Q, integers uniform in [-2^62, 2^62)."""
+    rng = np.random.default_rng(seed)
+    shapes = [(rows, dim)] * suite.vectors + ([(rows, suite.scalars)] if suite.scalars else [])
+    blocks = []
+    for shape in shapes:
+        block = np.array([Q(int(x)) for x in rng.integers(-2**62, 2**62, size=shape).flat],
+                         dtype=object).reshape(shape)
+        block.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _run(suite, draws, ch):
+    with _block_memo():
+        suite.body(draws, ch)
+    return ch
+
+
+@pytest.mark.parametrize("suite", PER_TRIAL_SUITES, ids=[s.name for s in PER_TRIAL_SUITES])
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_every_counted_channel_is_the_zero_polynomial(suite, dim):
+    ch = _run(suite, _exact_draws(suite, dim, rows=2, seed=dim), ExactChannels())
+    # the recorder sees every channel that a float run of the body counts
+    floats = _run(suite, _draw_block(suite, RunConfig(seed=dim, trials=2), dim, 0, 2),
+                  Channels(DEFAULT_TOLERANCE))
+    assert set(ch.nonzero) == set(floats.counted()) - {SKIPPED}
+    assert {k: t for k, t in ch.types.items() if t != {Q}} == {}
+    assert {k for k, nonzero in ch.nonzero.items() if nonzero} == set()
+
+
+def test_the_sedenions_fail_exactly_the_channels_marked_fails_at_16():
+    nonzero = set()
+    for suite in PER_TRIAL_SUITES:
+        ch = _run(suite, _exact_draws(suite, 16, rows=1, seed=16), ExactChannels())
+        assert {k: t for k, t in ch.types.items() if t != {Q}} == {}
+        nonzero |= {f"{suite.name}:{k}" for k, v in ch.nonzero.items() if v}
+    assert nonzero == {k for k, (_, _, fails_at_16, _) in CHANNELS.items() if fails_at_16}

@@ -49,31 +49,6 @@ def test_sign_triple_validation():
     assert SignTriple(1, -1, 1).label == "(+1,-1,+1)"
 
 
-@pytest.mark.parametrize("signs", ((True, 1, 1), (1, 1.0, 1), (1, -1.0, 1),
-                                   (1, np.bool_(True), 1)),
-                         ids=("bool", "float", "negative_float", "numpy_bool"))
-def test_sign_triple_takes_integers_only(signs):
-    # True == 1 and 1.0 == 1, so a membership test alone would keep them
-    with pytest.raises(ValueError, match=r"must be one of \(1, -1\)"):
-        SignTriple(*signs)
-    with pytest.raises(ValueError):
-        component2(random_op(4), *signs[:2], unit(4))
-
-
-def test_sign_triple_accepts_numpy_integers():
-    signs = SignTriple(np.int64(1), np.int8(-1), np.uint8(1))
-    assert signs.label == "(+1,-1,+1)"
-    assert signs in ALL_SIGN_TRIPLES
-    # stored as the Python ints they equal
-    assert all(type(e) is int for e in (signs.eps_plus, signs.eps_star, signs.eps_vee))
-
-
-@pytest.mark.parametrize("flags", ({"plus": 2}, {"star": 1}, {"vee": "yes"}, {"plus": None}))
-def test_op_word_flags_are_bools(flags):
-    with pytest.raises(ValueError, match="must be a bool"):
-        OpWord(**flags)
-
-
 _OP4, _U4 = TripleOperator(unit(4), unit(4)), unit(4)   # no draw from RNG
 
 
