@@ -108,9 +108,12 @@ class RunConfig:
             raise ValueError(f"trials must be <= 2^32, got {self.trials}")
         if not isinstance(self.tolerance, Tolerance):   # a suite reads its rel and abs
             raise ValueError(f"tolerance must be a Tolerance, got {self.tolerance!r}")
-        dims = tuple(self.dims)
+        try:   # a str would be read character by character
+            dims = () if isinstance(self.dims, str) else tuple(self.dims)
+        except TypeError:
+            dims = ()
         if not dims:
-            raise ValueError("dims must not be empty")
+            raise ValueError(f"dims must be a non-empty collection, got {self.dims!r}")
         # a repeated dim would run, and print, every suite at it again
         object.__setattr__(self, "dims", tuple(dict.fromkeys(map(_check_dim, dims))))
 
@@ -786,7 +789,11 @@ def run_all(config: RunConfig, suites: tuple[str, ...] = SUITE_NAMES) -> list[Ve
     `suites` is a non-empty iterable of names from SUITE_NAMES, read once, so a
     selection can never run nothing and pass.
     """
-    if isinstance(suites, str) or not (names := set(suites)) <= set(SUITE_NAMES) or not names:
+    try:   # a str would be read character by character
+        names = set() if isinstance(suites, str) else set(suites)
+    except TypeError:   # not iterable, or an item that is no name
+        names = set()
+    if not names or not names <= set(SUITE_NAMES):
         raise ValueError(f"suites must be a non-empty collection of {SUITE_NAMES}, got {suites!r}")
     return [_run_suite(suite, config, dim)
             for suite in _SUITES if suite.name in names for dim in suite.dims(config)]

@@ -30,6 +30,7 @@ from octotriple.verify import (
     run_all,
     trial_generator,
 )
+from test_exact import _table_channels
 
 
 def run_cli(*args, stdin=None):
@@ -66,8 +67,9 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(dims=())
+    for dims in ((), 4, None, "48"):   # "48" would be read as the dims 4 and 8
+        with pytest.raises(ValueError, match="^dims"):
+            RunConfig(dims=dims)
     # a trial index is one 32-bit half of a key word, so 2^32 trials is the most a run
     # can key; only constructed here, never run
     assert RunConfig(trials=1 << 32).trials == 1 << 32
@@ -115,16 +117,6 @@ def test_trial_streams_do_not_collide_across_suites():
 def test_trial_generator_rejects_indices_outside_one_key_word(suite, trial):
     with pytest.raises(ValueError):
         trial_generator(42, suite, trial)
-
-
-@pytest.mark.parametrize("args, name", (
-    ((True, 0, 0), "seed"), ((0, True, 0), "suite_index"), ((0, 0, np.True_), "trial_index"),
-    ((42.0, 0, 0), "seed"), ((0, 1.0, 0), "suite_index"), ((0, 0, "7"), "trial_index")),
-    ids=("bool_seed", "bool_suite", "numpy_bool_trial", "float_seed", "float_suite", "text_trial"))
-def test_trial_generator_takes_integers_only(args, name):
-    # True would key seed 1's stream or suite 1's, as 1 does
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        trial_generator(*args)
 
 
 # -- engine ---------------------------------------------------------------------
@@ -422,12 +414,6 @@ def test_block_decomposition_rows_do_not_depend_on_the_block_size(dim):
     _assert_rows_do_not_depend_on_the_block_size(tp._decompose_triple, (u1, u, u2))
 
 
-def _table_channels(suite, dim):
-    """The channels the table says a suite's report at dim records."""
-    return {key.split(":", 1)[1] for key, (_, dims, _, _) in CHANNELS.items()
-            if key.split(":", 1)[0] == suite and (not dims or dim in dims)}
-
-
 def test_every_suite_reports_its_pinned_channels():
     reports = run_all(RunConfig(seed=7, trials=25, dims=(4, 8)))
     for r in reports:
@@ -464,53 +450,6 @@ def test_the_readme_example_runs():
     assert failed == 0 and attempted >= 1
 
 
-class _UnitScales(Channels):
-    """A recorder that owns every scale and reduction itself: each norm is one,
-    and the terms are reduced with numpy here, not by the suite body."""
-
-    def norms(self, *blocks):
-        return tuple(np.ones(b.shape[:-1]) for b in blocks)
-
-    def add(self, name, diffs, scale, factor=1.0):
-        terms = diffs if isinstance(diffs, tuple) else (diffs,)
-        self._record(name, max(np.max(np.abs(t) / (factor * scale)) for t in terms))
-
-    def add_norm(self, name, diffs, scale, factor=1.0):
-        terms = diffs if isinstance(diffs, tuple) else (diffs,)
-        self.add(name, tuple(np.linalg.norm(t, axis=-1) for t in terms), scale, factor)
-
-
-class _NoScaleNumpy:
-    """numpy without abs and sqrt, for the modules whose suite code may take no size."""
-
-    def __getattr__(self, name):
-        if name in ("abs", "absolute", "sqrt"):
-            raise AssertionError(f"a suite body called np.{name}")
-        return getattr(np, name)
-
-
-@pytest.mark.parametrize("dim", core.VALID_DIMS)
-@pytest.mark.parametrize("name", sorted(_DRAWS))
-def test_suite_bodies_take_every_norm_from_the_recorder(name, dim, monkeypatch):
-    # the bodies hand over differences and ask the recorder for every norm, so a
-    # recorder that overrides norms, add and add_norm needs no second code path
-    suite = next(s for s in verify._SUITES if s.name == name)
-    draws = verify._draw_block(suite, RunConfig(seed=42, trials=40), dim, 0, 40)
-
-    def refuse(x):
-        raise AssertionError("a suite body took a norm itself")
-
-    for module in (verify, verify.ops):
-        # operators binds no _norm; one it later imports is refused all the same
-        monkeypatch.setattr(module, "_norm", refuse, raising=False)
-        monkeypatch.setattr(module, "np", _NoScaleNumpy())
-    ch = _UnitScales(Tolerance())
-    suite.body(draws, ch)
-    # the one channel that only trial 0's public route records
-    assert set(ch.maxima) == _table_channels(name, dim) - {"component3_public_api"}
-    assert all(np.isfinite(v) for v in ch.maxima.values())
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_all_passes_every_suite_with_no_absolute_tolerance():
     # with abs 0 nothing lifts a zero scale: at dim 1 no argument has an imaginary
@@ -521,8 +460,10 @@ def test_run_all_passes_every_suite_with_no_absolute_tolerance():
     assert [(r.suite, r.dim) for r in reports if not r.passed] == []
 
 
-@pytest.mark.parametrize("suites", (("nope",), ("core", "nope"), (), "core", "nope"),
-                         ids=("unknown", "one_unknown", "empty", "bare_name", "bare_unknown"))
+@pytest.mark.parametrize("suites", (("nope",), ("core", "nope"), (), "core", "nope", 5, None,
+                                    [["core"]]),
+                         ids=("unknown", "one_unknown", "empty", "bare_name", "bare_unknown",
+                              "number", "none", "nested"))
 def test_run_all_rejects_a_selection_that_is_not_suite_names(suites):
     # a selection that runs nothing, or matches names as substrings, must not pass quietly
     with pytest.raises(ValueError, match="suites"):
@@ -554,20 +495,6 @@ def test_bac_cab_fails_on_a_negated_associator(monkeypatch):
     (rep,) = run_all(RunConfig(seed=7, trials=10, dims=(8,)), suites=("bridge",))
     assert rep.details["channels"]["bac_cab"] > rep.tolerance_used
     assert not rep.passed
-
-
-def test_operator_details_report_vanishing_components():
-    config = RunConfig(seed=7, trials=10, dims=(8,))
-    (rep,) = run_all(config, suites=("operator",))
-    # a three-operation component vanishes where its info: norm channel is at most rel
-    vanished = [signs.label for signs in verify.ops.ALL_SIGN_TRIPLES
-                if rep.details["channels"][f"info:three_op_norm{signs.label}"]
-                <= config.tolerance.rel]
-    # three of the eight three-operation components vanish numerically
-    assert "(+1,-1,+1)" in vanished
-    assert "(+1,-1,-1)" in vanished
-    assert "(-1,+1,-1)" in vanished
-    assert "(+1,+1,+1)" not in vanished
 
 
 def test_every_report_has_its_channels_as_its_only_details():

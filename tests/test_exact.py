@@ -14,11 +14,17 @@ at the two rows drawn at dims 1, 2, 4 and 8.
 The bodies run as they are, inside `core._block_memo()`, on object blocks of the
 exact type `Q`, through a recorder that keeps, per channel, whether a term is not
 exactly 0 and the types of its entries.  A float entry would mean an exact product
-was rounded somewhere, so none may occur.  `gram_positive_semidefinite` is an
-inequality, not an identity, and is skipped.  At dim 16, the sedenions, the nonzero
-channels must be exactly the `fails_at_16` rows of `verify.CHANNELS`; each is an
-exact certificate, with no tolerance in it.  The float control in
-tests/test_mutants.py also pins the gate's margins there, which this run does not.
+was rounded somewhere, so none may occur.  `Q` has no `sqrt` and refuses `abs` and
+`float`, so a body that takes a norm or an abs of anything it derives from its draws
+raises: the recorder takes every size, and it must see exactly the suite's rows of
+`verify.CHANNELS`.  `gram_positive_semidefinite` is an inequality, not an identity,
+and is skipped.  The `info:` channels are recorded too: they pin which of the eight
+three-operation components vanish identically at each dim.  At dim 16, the
+sedenions, the nonzero counted channels must be exactly the `fails_at_16` rows of
+`verify.CHANNELS`; each is an exact certificate, with no tolerance in it.  The float
+control in tests/test_mutants.py also pins the gate's margins there, which this run
+does not.  tests/test_mutants.py runs it under the butterfly flip that the float gate
+misses, and so proves that mutant equivalent.
 """
 
 from fractions import Fraction
@@ -43,7 +49,8 @@ class Q(Fraction):
     sign table or a literal, converts exactly, where a plain Fraction would round
     itself to a float; each result is built once, from its numerator and denominator.
     An operation it does not define falls back to Fraction's, whose result the
-    recorder's type check refuses."""
+    recorder's type check refuses.  It has no `sqrt`, and `abs` and `float` raise: a
+    body may take no size of a value it derives from its draws."""
 
     __slots__ = ()
 
@@ -74,6 +81,12 @@ class Q(Fraction):
     def __neg__(a):
         return Q(-a.numerator, a.denominator)
 
+    def __abs__(a):
+        raise AssertionError("a suite body took an abs itself")
+
+    def __float__(a):   # a float would let np.sqrt and math.sqrt take a size
+        raise AssertionError("a suite body rounded an exact value to a float")
+
 
 class ExactChannels(Channels):
     """Per channel, whether some term is not exactly 0, and the types of the entries.
@@ -89,7 +102,7 @@ class ExactChannels(Channels):
         return tuple(np.ones(b.shape[:-1]) for b in blocks)
 
     def add(self, name, diffs, scale=None, factor=1.0) -> None:
-        if name.startswith("info:") or name == SKIPPED:
+        if name == SKIPPED:
             return
         for term in diffs if isinstance(diffs, tuple) else (diffs,):
             entries = np.asarray(term, dtype=object).ravel().tolist()
@@ -118,22 +131,58 @@ def _run(suite, draws, ch):
     return ch
 
 
+def _exact_run(suite, dim, rows):
+    """The exact recorder of suite's body on `rows` rows at dim, seeded by dim; every entry
+    it saw must be exact."""
+    ch = _run(suite, _exact_draws(suite, dim, rows, seed=dim), ExactChannels())
+    assert {k: t for k, t in ch.types.items() if t != {Q}} == {}
+    return ch
+
+
+def _counted_nonzero(dim, rows):
+    """suite:name of each counted channel of the per-trial bodies not exactly 0 at dim."""
+    return {f"{suite.name}:{k}" for suite in PER_TRIAL_SUITES
+            for k, nonzero in _exact_run(suite, dim, rows).nonzero.items()
+            if nonzero and not k.startswith("info:")}
+
+
+def _table_channels(suite, dim):
+    """The channels the table says a suite's report at dim records."""
+    return {key.split(":", 1)[1] for key, (_, dims, _, _) in CHANNELS.items()
+            if key.split(":", 1)[0] == suite and (not dims or dim in dims)}
+
+
+# the labels of the three-operation components that vanish identically, by dim: the
+# operator suite's info: norms that read exactly 0
+VANISHING = {
+    1: ("(-1,+1,+1)", "(+1,-1,+1)", "(-1,-1,+1)", "(+1,+1,-1)", "(-1,+1,-1)", "(+1,-1,-1)",
+        "(-1,-1,-1)"),
+    2: ("(-1,+1,+1)", "(+1,-1,+1)", "(-1,-1,+1)", "(-1,+1,-1)", "(+1,-1,-1)", "(-1,-1,-1)"),
+    4: ("(-1,+1,+1)", "(+1,-1,+1)", "(-1,+1,-1)", "(+1,-1,-1)"),
+    8: ("(+1,-1,+1)", "(-1,+1,-1)", "(+1,-1,-1)"),
+}
+
+
 @pytest.mark.parametrize("suite", PER_TRIAL_SUITES, ids=[s.name for s in PER_TRIAL_SUITES])
 @pytest.mark.parametrize("dim", (1, 2, 4, 8))
 def test_every_counted_channel_is_the_zero_polynomial(suite, dim):
-    ch = _run(suite, _exact_draws(suite, dim, rows=2, seed=dim), ExactChannels())
-    # the recorder sees every channel that a float run of the body counts
-    floats = _run(suite, _draw_block(suite, RunConfig(seed=dim, trials=2), dim, 0, 2),
-                  Channels(DEFAULT_TOLERANCE))
-    assert set(ch.nonzero) == set(floats.counted()) - {SKIPPED}
-    assert {k: t for k, t in ch.types.items() if t != {Q}} == {}
-    assert {k for k, nonzero in ch.nonzero.items() if nonzero} == set()
+    ch = _exact_run(suite, dim, rows=2)
+    # the recorder sees every row of the table but the one that only trial 0's public
+    # route records, so a body can drop no channel and take no size itself
+    assert set(ch.nonzero) == _table_channels(suite.name, dim) - {"component3_public_api",
+                                                                    SKIPPED}
+    zero = {k for k, nonzero in ch.nonzero.items() if not nonzero}
+    info = {k for k in ch.nonzero if k.startswith("info:")}   # the operator suite's alone
+    assert set(ch.nonzero) - info <= zero
+    if info:
+        vanishing = {f"info:three_op_norm{label}" for label in VANISHING[dim]}
+        assert zero & info == vanishing
+        # a float run of the body reads exactly these at or below rel, and the rest above it
+        floats = _run(suite, _draw_block(suite, RunConfig(seed=dim, trials=2), dim, 0, 2),
+                      Channels(DEFAULT_TOLERANCE))
+        assert {k for k in info if floats.maxima[k] <= DEFAULT_TOLERANCE.rel} == vanishing
 
 
 def test_the_sedenions_fail_exactly_the_channels_marked_fails_at_16():
-    nonzero = set()
-    for suite in PER_TRIAL_SUITES:
-        ch = _run(suite, _exact_draws(suite, 16, rows=1, seed=16), ExactChannels())
-        assert {k: t for k, t in ch.types.items() if t != {Q}} == {}
-        nonzero |= {f"{suite.name}:{k}" for k, v in ch.nonzero.items() if v}
-    assert nonzero == {k for k, (_, _, fails_at_16, _) in CHANNELS.items() if fails_at_16}
+    assert _counted_nonzero(16, rows=1) == {
+        k for k, (_, _, fails_at_16, _) in CHANNELS.items() if fails_at_16}

@@ -16,9 +16,9 @@ Three mutant classes, each applied by monkeypatching:
   The per-trial suites together must fail on the stage-0 and stage-1 flips
   at every dim, and on the stage-2 flip at dims 4 and 8.  Stage 2 exists
   only in the eight-word transform, where it negates the rows with eps_+ =
-  -1; at dims 1 and 2 those rows vanish in exact arithmetic, so there the
-  mutant is equivalent, and the test asserts that the rows it changes are
-  at rounding level.
+  -1; at dims 1 and 2 those components vanish identically, so there the
+  mutant is equivalent, and the exact run of tests/test_exact.py proves it:
+  under the flip every counted channel is still the zero polynomial.
 
 A counted channel that no mutant moves off 0.0, or none pushes above the
 tolerance, checks nothing that these mutants break; at dims 4 and 8 only the
@@ -38,6 +38,7 @@ import pytest
 
 from octotriple import core, hadamard, operators, triple, verify
 from octotriple.verify import _SUITES, CHANNELS, Channels, RunConfig, run_all
+from test_exact import _counted_nonzero
 
 PER_TRIAL_SUITES = tuple(s.name for s in _SUITES if s.random)
 
@@ -140,27 +141,12 @@ def test_the_unflipped_butterfly_is_the_transform():
 def test_per_trial_suites_catch_every_butterfly_flip(stage, caught_dims, monkeypatch):
     for dim in core.VALID_DIMS:
         assert _fails(_mutant_maxima(dim)[1]["butterfly", stage]) == (dim in caught_dims), dim
-    mutant = _flipped_butterfly(stage)
-    seen = []
-
-    def recording(values):
-        seen.append(np.array(values))
-        return mutant(values)
-
     # operators binds the transform by name; hadamard is patched for any other caller
-    monkeypatch.setattr(hadamard, "transform", recording)
-    monkeypatch.setattr(operators, "transform", recording)
+    monkeypatch.setattr(hadamard, "transform", _flipped_butterfly(stage))
+    monkeypatch.setattr(operators, "transform", _flipped_butterfly(stage))
     for dim in sorted(set(core.VALID_DIMS) - set(caught_dims)):
-        # an equivalent mutant: every row it changes is a few units in the
-        # last place of the largest word value it transforms
-        seen.clear()
-        run_all(RunConfig(seed=1, trials=4, dims=(dim,)), suites=PER_TRIAL_SUITES)
-        assert seen
-        for values in seen:
-            want = _flipped_butterfly(-1)(values)
-            changed = mutant(values) != want
-            bound = 4 * np.finfo(float).eps * np.max(np.abs(values))
-            assert np.all(np.abs(want[changed]) <= bound)
+        # an equivalent mutant: every counted channel is still the zero polynomial
+        assert _counted_nonzero(dim, rows=2) == set(), dim
 
 
 def _mutants(dim):
